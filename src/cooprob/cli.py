@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .estimators import balanced_p, equiprobability, maximin_alt_p, maximin_p, payoff_max_p
-from .iteration import iterate2, iterate_asym
+from .iteration import iterate2
 from .nplayer import balanced_p_asym, balanced_p3, cubic_coefficients, equiprobability3
 from .tables import (
     AsymmetricTable2,

@@ -180,16 +180,16 @@ def maximin_alt_p(table: PayoffTable2) -> float | None:
 def payoff_max_p(table: PayoffTable2) -> Estimate:
     """Symmetric cooperation level maximizing the mutual expected payoff.
 
-    The interior critical point eta = (a + d - 2c) / (2 (a - b - c + d)) is
-    the maximizer only when c - d < a - b and a - b > b - d; every other
-    case (including a vanishing quadratic coefficient) maximizes at p = 1.
+    The payoff is quadratic in p: the maximum over [0, 1] sits at 0, 1 or
+    eta = (a + d - 2c) / (2 (a - b - c + d)) when 0 < eta < 1. Ties go to
+    the first of 0, 1, eta.
     """
     a, b, c, d = table.values()
     k = a - b - c + d
-    if k != 0.0 and (c - d) < (a - b) and (a - b) > (b - d):
-        p = (a + d - 2.0 * c) / (2.0 * k)
-    else:
-        p = 1.0
+    eta = (a + d - 2.0 * c) / (2.0 * k) if k != 0.0 else -1.0
+    p = 1.0 if b > c else 0.0  # mu(0) = c and mu(1) = b
+    if 0.0 < eta < 1.0 and expected_payoff2(table, eta) > max(b, c):
+        p = eta
     return Estimate(p=p, q=1.0 - p, method="payoff-max", class_used=classify2(table))
 
 

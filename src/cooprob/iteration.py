@@ -1,14 +1,16 @@
 """Fixed-point iteration oracle.
 
 Plain iteration of p <- phi(p) / (phi(p) + chi(p)), with no acceleration,
-used as an independent check on every closed form. Scalar variants record a
-full trace; the batch variant drives many tables at once with numpy and
-returns limits only.
+used as an independent check on every closed form. One scalar driver owns
+the step, the stop rule, the budget and the trace; each oracle passes in its
+weights (the two-sided one iterates p_y <- y(x(p_y))). A batch driver steps
+many tables at once with numpy and returns limits only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,12 +63,6 @@ def weights3(f, g, h, j, k, m, p):
     return psi, omega
 
 
-def _check_p0(p0: float) -> float:
-    if not 0.0 <= p0 <= 1.0:
-        raise DomainError(f"starting point p0={p0!r} outside [0, 1]")
-    return float(p0)
-
-
 def _corner_repels(a, b, c, d):
     """Whether p = 1 repels under the StagHunt balance map.
 
@@ -76,6 +72,53 @@ def _corner_repels(a, b, c, d):
     involved.
     """
     return (c - d) > (2.0 * b - a - c)
+
+
+def _fixed_point(weights, p: float, policy: NumericPolicy, keep: bool = True) -> IterationTrace:
+    """Iterate p <- phi / (phi + chi) from a seed p in [0, 1], ``weights(p)``
+    giving (phi, chi), until a step moves at most fp_tol or fp_max_iter steps
+    are spent. Without ``keep`` the trace holds only the seed and the last
+    iterate."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"starting point p0={p!r} outside [0, 1]")
+    p = float(p)
+    iterates = [p]
+    for n in range(1, policy.fp_max_iter + 1):
+        phi, chi = weights(p)
+        total = phi + chi
+        if total == 0.0:
+            raise DegenerateWeightsError(f"phi + chi = 0 at iterate {p!r}")
+        prev, p = p, phi / total
+        if keep:
+            iterates.append(p)
+        if abs(p - prev) <= policy.fp_tol:
+            break
+    kept = iterates if keep else [iterates[0], p]
+    return IterationTrace(tuple(kept), abs(p - prev) <= policy.fp_tol, n)
+
+
+def _fixed_point_batch(weights, arrays: tuple, p: np.ndarray, policy: NumericPolicy):
+    """(limits, converged) of :func:`_fixed_point` per lane, seeded by ``p``;
+    ``weights(*arrays, p)`` gives (phi, chi) per lane. Converged lanes leave
+    the active set, so a batch does not pay for its slowest lane everywhere."""
+    converged = np.zeros(p.shape[0], dtype=bool)
+    idx = np.arange(p.shape[0])
+    cur = arrays
+    for _ in range(policy.fp_max_iter):
+        if idx.size == 0:
+            break
+        phi, chi = weights(*cur, p[idx])
+        total = phi + chi
+        if np.any(total == 0.0):
+            raise DegenerateWeightsError("phi + chi = 0 in batch iteration")
+        nxt = phi / total
+        done = np.abs(nxt - p[idx]) <= policy.fp_tol
+        p[idx] = nxt
+        if done.any():
+            converged[idx[done]] = True
+            idx = idx[~done]
+            cur = tuple(x[idx] for x in arrays)
+    return p, converged
 
 
 def iterate2(
@@ -94,22 +137,10 @@ def iterate2(
     """
     if game_class.tag is GameTag.UNCLASSIFIED:
         raise UnsupportedClassError("iteration requires a classified table")
-    p = _check_p0(p0)
     a, b, c, d = table.values()
-    if game_class.tag is GameTag.STAG_HUNT and p == 1.0 and _corner_repels(a, b, c, d):
-        p = 0.5
-    iterates = [p]
-    for n in range(1, policy.fp_max_iter + 1):
-        phi, chi = weights2(game_class.tag, a, b, c, d, p)
-        total = phi + chi
-        if total == 0.0:
-            raise DegenerateWeightsError(f"phi + chi = 0 at iterate {p!r}")
-        nxt = phi / total
-        iterates.append(nxt)
-        if abs(nxt - p) <= policy.fp_tol:
-            return IterationTrace(tuple(iterates), True, n)
-        p = nxt
-    return IterationTrace(tuple(iterates), False, policy.fp_max_iter)
+    if game_class.tag is GameTag.STAG_HUNT and p0 == 1.0 and _corner_repels(a, b, c, d):
+        p0 = 0.5
+    return _fixed_point(partial(weights2, game_class.tag, a, b, c, d), p0, policy)
 
 
 def iterate3(
@@ -118,20 +149,7 @@ def iterate3(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> IterationTrace:
     """Iterate the three-player balance map p <- psi / (psi + omega)."""
-    p = _check_p0(p0)
-    f, g, h, j, k, m = table.values()
-    iterates = [p]
-    for n in range(1, policy.fp_max_iter + 1):
-        psi, omega = weights3(f, g, h, j, k, m, p)
-        total = psi + omega
-        if total == 0.0:
-            raise DegenerateWeightsError(f"psi + omega = 0 at iterate {p!r}")
-        nxt = psi / total
-        iterates.append(nxt)
-        if abs(nxt - p) <= policy.fp_tol:
-            return IterationTrace(tuple(iterates), True, n)
-        p = nxt
-    return IterationTrace(tuple(iterates), False, policy.fp_max_iter)
+    return _fixed_point(partial(weights3, *table.values()), p0, policy)
 
 
 def iterate_asym(
@@ -142,30 +160,23 @@ def iterate_asym(
     """Alternating iteration for a two-sided table.
 
     Each round updates side x against the current p_y, then side y against
-    the fresh p_x. The trace records (p_x, p_y) after every round; the run
-    converges when both coordinates move at most fp_tol in a round.
+    the fresh p_x, which is the driver run on the composed map
+    p_y <- y(x(p_y)). The trace records (p_x, p_y) after every round; the
+    run converges when p_y moves at most fp_tol in a round.
     """
-    py = _check_p0(p_y0)
-    ax, bx, cx, dx = table.side_x().values()
-    ay, by, cy, dy = table.side_y().values()
-    px = py  # placeholder for the first round's delta
-    iterates: list[tuple[float, float]] = []
-    for n in range(1, policy.fp_max_iter + 1):
-        phix = bx - cx
-        chix = py * (ax - bx) + (1.0 - py) * (cx - dx)
+    side_x = table.side_x().values()
+    side_y = table.side_y().values()
+    xs: list[float] = []
+
+    def weights_y(py: float):
+        phix, chix = weights2(GameTag.PRISONERS_DILEMMA, *side_x, py)
         if phix + chix == 0.0:
             raise DegenerateWeightsError("phi_x + chi_x = 0")
-        nx = phix / (phix + chix)
-        phiy = by - cy
-        chiy = nx * (ay - by) + (1.0 - nx) * (cy - dy)
-        if phiy + chiy == 0.0:
-            raise DegenerateWeightsError("phi_y + chi_y = 0")
-        ny = phiy / (phiy + chiy)
-        iterates.append((nx, ny))
-        if abs(nx - px) <= policy.fp_tol and abs(ny - py) <= policy.fp_tol and n > 1:
-            return IterationTrace(tuple(iterates), True, n)
-        px, py = nx, ny
-    return IterationTrace(tuple(iterates), False, policy.fp_max_iter)
+        xs.append(phix / (phix + chix))
+        return weights2(GameTag.PRISONERS_DILEMMA, *side_y, xs[-1])
+
+    trace = _fixed_point(weights_y, p_y0, policy)
+    return IterationTrace(tuple(zip(xs, trace.iterates[1:])), trace.converged, trace.iterations_used)
 
 
 def iterate2_limits(
@@ -179,35 +190,15 @@ def iterate2_limits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch limits of the two-player balance map over arrays of tables.
 
-    Returns (limits, converged). All tables must share one class tag. The
-    active set shrinks as elements converge, so mixed-rate batches do not
-    pay for their slowest member on every lane. StagHunt lanes seeded on a
-    repelling corner (p0 = 1) restart from 0.5, as in iterate2.
+    Returns (limits, converged). All tables must share one class tag.
+    StagHunt lanes seeded on a repelling corner (p0 = 1) restart from 0.5,
+    as in iterate2.
     """
     a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    n = a.shape[0]
-    p = np.full(n, float(p0))
+    p = np.full(a.shape[0], float(p0))
     if tag is GameTag.STAG_HUNT and p0 == 1.0:
         p[_corner_repels(a, b, c, d)] = 0.5
-    converged = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    pa, pb, pc, pd = a, b, c, d
-    for _ in range(policy.fp_max_iter):
-        phi, chi = weights2(tag, pa, pb, pc, pd, p[idx])
-        total = phi + chi
-        if np.any(total == 0.0):
-            raise DegenerateWeightsError("phi + chi = 0 in batch iteration")
-        nxt = phi / total
-        done = np.abs(nxt - p[idx]) <= policy.fp_tol
-        p[idx] = nxt
-        if done.any():
-            converged[idx[done]] = True
-            keep = ~done
-            idx = idx[keep]
-            if idx.size == 0:
-                return p, converged
-            pa, pb, pc, pd = a[idx], b[idx], c[idx], d[idx]
-    return p, converged
+    return _fixed_point_batch(partial(weights2, tag), (a, b, c, d), p, policy)
 
 
 def iterate3_limits(
@@ -221,25 +212,5 @@ def iterate3_limits(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch limits of the three-player balance map."""
-    f, g, h, j, k, m = (np.asarray(x, dtype=float) for x in (f, g, h, j, k, m))
-    n = f.shape[0]
-    p = np.full(n, float(p0))
-    converged = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    arrs = (f, g, h, j, k, m)
-    cur = arrs
-    for _ in range(policy.fp_max_iter):
-        psi, omega = weights3(*cur, p[idx])
-        total = psi + omega
-        if np.any(total == 0.0):
-            raise DegenerateWeightsError("psi + omega = 0 in batch iteration")
-        nxt = psi / total
-        done = np.abs(nxt - p[idx]) <= policy.fp_tol
-        p[idx] = nxt
-        if done.any():
-            converged[idx[done]] = True
-            idx = idx[~done]
-            if idx.size == 0:
-                return p, converged
-            cur = tuple(x[idx] for x in arrs)
-    return p, converged
+    arrays = tuple(np.asarray(x, dtype=float) for x in (f, g, h, j, k, m))
+    return _fixed_point_batch(weights3, arrays, np.full(arrays[0].shape[0], float(p0)), policy)

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .estimators import EquiprobabilityReport, Leaning
-from .iteration import iterate3, iterate_asym, weights3
+from .iteration import _fixed_point, iterate3, iterate_asym, weights3
 from .tables import (
     DEFAULT_POLICY,
     AsymmetricTable2,
@@ -106,15 +106,24 @@ def _map_slope3(table: PayoffTable3, p: float) -> float:
     return (dpsi * omega - psi * domega) / (total * total)
 
 
+def _root_at(candidates, limit: float, policy: NumericPolicy) -> float:
+    """The candidate root the oracle's limit lands on, clamped to [0, 1]."""
+    matches = [r for r in candidates if abs(r - limit) <= max(policy.eps_root, 1e-9)]
+    if not matches:
+        raise NoValidRootError(f"no candidate root matches the iteration limit {limit!r}")
+    return min(1.0, max(0.0, matches[0]))
+
+
 def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
     """Balanced cooperation probability for a three-player dilemma table.
 
     The balance cubic may lose leading degree (its top coefficients vanish
     for many regular tables); degeneration falls through to the quadratic or
     linear form and is flagged on the estimate. Among real roots in [0, 1]
-    the attracting one (map slope magnitude below 1) is returned; when the
-    slope test is inconclusive the iteration oracle picks, and leftover ties
-    raise an ambiguity error carrying the candidates.
+    the attracting one (map slope magnitude below 1) is returned, else a
+    lone root in [0, 1] whatever its slope; among several repelling roots
+    the iteration oracle picks, and several attracting ones raise an
+    ambiguity error carrying the candidates.
     """
     cls = classify3(table)
     if cls.tag is not GameTag.PRISONERS_DILEMMA:
@@ -139,21 +148,16 @@ def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> 
     if not candidates:
         raise NoValidRootError(f"no balance root in [0, 1]; real roots {all_roots!r}")
     stable = [r for r in candidates if abs(_map_slope3(table, r)) < 1.0]
-    if len(stable) == 1:
-        p = stable[0]
+    if len(stable) == 1 or len(candidates) == 1:
+        # the attracting root, or a lone root whatever its slope
+        p = (stable or candidates)[0]
     elif len(stable) > 1:
         raise AmbiguousRootError(
             f"several attracting roots in [0, 1]: {stable!r}", tuple(stable)
         )
     else:
-        # slope test rejected everything (neutral cases); let the oracle pick
-        trace = iterate3(table, 0.5, policy)
-        matches = [r for r in candidates if abs(r - trace.limit) <= max(policy.eps_root, 1e-9)]
-        if not matches:
-            raise NoValidRootError(
-                f"no candidate root matches the iteration limit {trace.limit!r}"
-            )
-        p = matches[0]
+        # slope test rejected several roots; let the oracle pick
+        p = _root_at(candidates, iterate3(table, 0.5, policy).limit, policy)
     return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(all_roots), degenerate_branch=degenerate)
 
 
@@ -331,9 +335,9 @@ def balanced_pn(
     """Balanced cooperation probability for an n-player dilemma ladder.
 
     Solves p (psi + omega) = psi by bracketed search on [0, 1] (the balance
-    function changes sign across the interval for every strict ladder) and
-    cross-checks the answer against direct iteration. Reduces exactly to the
-    two- and three-player solvers at n = 2 and n = 3.
+    function changes sign across the interval for every strict ladder). Only
+    when several roots lie in [0, 1] does direct iteration run, and a root it
+    converges to wins. Reduces exactly to the n = 2 and n = 3 solvers.
     """
     players = _validate_ladder(ladder, n)
     psi, omega = psi_omega_coeffs(ladder)
@@ -342,13 +346,8 @@ def balanced_pn(
     def hfun(p: float) -> float:
         return float(npoly.polyval(p, bal))
 
-    def gmap(p: float) -> float:
-        ps = float(npoly.polyval(p, psi))
-        om = float(npoly.polyval(p, omega))
-        total = ps + om
-        if total == 0.0:
-            raise DegenerateWeightsError("psi + omega = 0 during ladder iteration")
-        return ps / total
+    def weights(p: float) -> tuple[float, float]:
+        return float(npoly.polyval(p, psi)), float(npoly.polyval(p, omega))
 
     h0, h1 = hfun(0.0), hfun(1.0)
     if h0 == 0.0:
@@ -360,24 +359,13 @@ def balanced_pn(
     else:
         raise NoValidRootError("balance function does not change sign on [0, 1]")
 
-    # cross-check with plain iteration; prefer a root the iteration confirms
-    cur, converged = 0.5, False
-    for _ in range(policy.fp_max_iter):
-        nxt = gmap(cur)
-        if abs(nxt - cur) <= policy.fp_tol:
-            cur, converged = nxt, True
-            break
-        cur = nxt
-    agree = max(policy.eps_root, 1e-9)
-    desc = list(bal[::-1])
-    all_roots = _real_roots(desc, policy.eps_root)
-    if converged and abs(cur - p) > agree:
-        matches = [r for r in all_roots if abs(r - cur) <= agree and -policy.eps_root <= r <= 1 + policy.eps_root]
-        if not matches:
-            raise NoValidRootError(
-                f"bracketed root {p!r} and iteration limit {cur!r} disagree"
-            )
-        p = min(1.0, max(0.0, matches[0]))
+    all_roots = _real_roots(list(bal[::-1]), policy.eps_root)
+    inside = [r for r in all_roots if -policy.eps_root <= r <= 1 + policy.eps_root]
+    if len(inside) > 1:
+        # several roots can win: prefer one that plain iteration confirms
+        trace = _fixed_point(weights, 0.5, policy, keep=False)
+        if trace.converged and abs(trace.limit - p) > max(policy.eps_root, 1e-9):
+            p = _root_at(inside, trace.limit, policy)
 
     cls = GameClass(GameTag.PRISONERS_DILEMMA)
     return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(all_roots))

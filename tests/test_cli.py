@@ -90,6 +90,9 @@ def test_estimate3_includes_coefficients():
     env = run_json("estimate3", "--table", "10,8,7,5,4,2")
     assert env["result"]["p"] == pytest.approx(1.0 / 3.0, abs=1e-11)
     assert env["result"]["coefficients"] == [0.0, 0.0, 3.0, -1.0]
+    # a lone root that repels under iteration is still the answer
+    lone = run_json("estimate3", "--table", "95,68,67,66,10,9")
+    assert lone["result"]["p"] == pytest.approx(0.640438579215, abs=1e-12)
 
 
 def test_asym_two_sided_payload():

@@ -151,6 +151,10 @@ def test_payoff_max():
     # outside the interior-optimum conditions the maximizer sits at p = 1
     assert payoff_max_p(PayoffTable2(100, 51, 50, 0)).p == 1.0
     assert payoff_max_p(PayoffTable2(101, 100, 1, 0)).p == 1.0
+    # Translators: the critical point falls outside (0, 1) and mutual
+    # defection (c) pays more than mutual cooperation (b)
+    assert payoff_max_p(PayoffTable2(10, 3, 7, 1)).p == 0.0
+    assert payoff_max_p(PayoffTable2(10, 5, 7, 1)).p == 0.0
 
 
 def test_best_response_threshold_and_play():

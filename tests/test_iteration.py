@@ -9,6 +9,7 @@ from cooprob import (
     DegenerateWeightsError,
     DomainError,
     GameTag,
+    NumericPolicy,
     PayoffTable2,
     PayoffTable3,
     balanced_p,
@@ -85,6 +86,21 @@ def test_iterate3_known_limits():
     assert iterate3(PayoffTable3(10, 4, 1, -2, -2, -4)).limit == pytest.approx(
         (-5.0 + math.sqrt(33.0)) / 4.0, abs=1e-9
     )
+
+
+def test_iterate3_budget_runs_out_on_a_two_cycle():
+    # the only root (0.6404) has map slope -1.27, so iteration from 0.5
+    # drifts into a 2-cycle and stops at the budget without converging
+    t = PayoffTable3(95, 68, 67, 66, 10, 9)
+    policy = NumericPolicy(fp_max_iter=100)
+    trace = iterate3(t, 0.5, policy)
+    assert not trace.converged
+    assert trace.iterations_used == 100
+    assert len(trace.iterates) == 101
+    assert trace.limit == pytest.approx(0.07865111708877408, abs=1e-15)
+    limits, converged = iterate3_limits(*(np.array([v]) for v in t.values()), policy=policy)
+    assert not converged[0]
+    assert limits[0] == pytest.approx(0.07865111708877408, abs=1e-15)
 
 
 def test_iterate3_degenerate_weights_raise():

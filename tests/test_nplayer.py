@@ -24,6 +24,7 @@ from cooprob import (
     equiprobability3,
     expected_payoff3,
     iterate_asym,
+    nplayer,
     psi_omega_coeffs,
 )
 
@@ -210,3 +211,27 @@ def test_balanced_pn_strict_ladder_always_brackets_a_root():
     # strict ladder, so the solver never needs a fallback here
     est = balanced_pn([4.0, 3.0, 2.0, 1.0])
     assert 0.0 < est.p < 1.0
+
+
+# one balance root in [0, 1], with map slope -1.27: iteration from 0.5
+# falls into a 2-cycle around it and never converges
+LONE_REPELLING = (95, 68, 67, 66, 10, 9)
+
+
+def test_lone_repelling_root_is_returned_without_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran on a single-root table")
+
+    monkeypatch.setattr(nplayer, "iterate3", no_oracle)
+    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    p3 = balanced_p3(PayoffTable3(*LONE_REPELLING)).p
+    assert p3 == pytest.approx(0.6404385792148, abs=1e-12)
+    assert balanced_pn(list(LONE_REPELLING)).p == pytest.approx(p3, abs=1e-12)
+
+
+def test_balanced_pn_iteration_overrides_the_bracketed_root():
+    # three roots in [0, 1]: the bracketed search lands on 0.9959, while
+    # iteration from 0.5 settles on 0.0358, which wins
+    est = balanced_pn([12.73, 12.72, 10.23, 10.22, 9.47, 6.81, 6.69, 1.98])
+    assert len([r for r in est.roots if 0.0 <= r <= 1.0]) == 3
+    assert est.p == pytest.approx(0.035771375209147, abs=1e-12)
