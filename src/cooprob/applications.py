@@ -283,6 +283,16 @@ def diner_conjecture_test(
     )
 
 
+def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
+    """(higher, lower) of two distinct levels that must lie in 0..top."""
+    if i == j:
+        raise UndefinedPairError(f"{what} levels must differ")
+    hi, lo = (i, j) if i > j else (j, i)
+    if not (0 <= lo and hi <= top):
+        raise DomainError(f"levels must lie in 0..{top}")
+    return hi, lo
+
+
 # ---------------------------------------------------------- public goods
 
 
@@ -296,11 +306,7 @@ def public_goods_p_star(k: float) -> float:
 def public_goods_table2(spec: PublicGoodsSpec, i: int, j: int) -> PayoffTable2:
     """Two-option reduction for contribution levels i > j (cooperate = give
     more). Every level pair yields the same balanced probability."""
-    if i == j:
-        raise UndefinedPairError("contribution levels must differ")
-    hi, lo = (i, j) if i > j else (j, i)
-    if not (0 <= lo and hi <= spec.options):
-        raise DomainError(f"levels must lie in 0..{spec.options}")
+    hi, lo = _level_pair(i, j, spec.options, "contribution")
     amount_hi = hi * spec.r / spec.options
     amount_lo = lo * spec.r / spec.options
     r, k = spec.r, spec.k
@@ -337,11 +343,7 @@ def traveler_table2(spec: TravelerSpec, i: int, j: int) -> PayoffTable2:
     Both get the lower claim; the undercutter collects the bonus t from the
     higher claimant.
     """
-    if i == j:
-        raise UndefinedPairError("claim levels must differ")
-    hi, lo = (i, j) if i > j else (j, i)
-    if not (0 <= lo and hi <= spec.steps):
-        raise DomainError(f"levels must lie in 0..{spec.steps}")
+    hi, lo = _level_pair(i, j, spec.steps, "claim")
     v = spec.v
     low_claim = spec.s + lo * v
     return PayoffTable2(
@@ -375,11 +377,7 @@ def traveler_pij(
     spec: TravelerSpec, i: int, j: int, policy: NumericPolicy = DEFAULT_POLICY
 ) -> float:
     """Probability that a balanced player keeps the higher of claims i, j."""
-    if i == j:
-        raise UndefinedPairError("claim levels must differ")
-    hi, lo = (i, j) if i > j else (j, i)
-    if not (0 <= lo and hi <= spec.steps):
-        raise DomainError(f"levels must lie in 0..{spec.steps}")
+    hi, lo = _level_pair(i, j, spec.steps, "claim")
     return float(_traveler_p_by_delta(spec, np.array([float(hi - lo)]))[0])
 
 
@@ -414,11 +412,7 @@ def attrition_table2(spec: AttritionSpec, i: int, j: int) -> PayoffTable2:
     Equal bids split the prize and pay their bid; otherwise the higher
     bidder takes the prize and both pay the lower bid.
     """
-    if i == j:
-        raise UndefinedPairError("bid levels must differ")
-    hi, lo = (i, j) if i > j else (j, i)
-    if not (0 <= lo and hi <= spec.max_bid):
-        raise DomainError(f"levels must lie in 0..{spec.max_bid}")
+    hi, lo = _level_pair(i, j, spec.max_bid, "bid")
     x = spec.x
     return PayoffTable2(a=x - lo, b=x / 2.0 - lo, c=x / 2.0 - hi, d=float(-lo))
 
@@ -437,11 +431,7 @@ def attrition_pij(
     mode classifies the mapped table first; gaps above x/2 land in Chicken
     and take that family's root instead.
     """
-    if i == j:
-        raise UndefinedPairError("bid levels must differ")
-    hi, lo = (i, j) if i > j else (j, i)
-    if not (0 <= lo and hi <= spec.max_bid):
-        raise DomainError(f"levels must lie in 0..{spec.max_bid}")
+    hi, lo = _level_pair(i, j, spec.max_bid, "bid")
     delta = float(hi - lo)
     if mode == "paper":
         x = spec.x

@@ -1,7 +1,8 @@
 """Solvers beyond the symmetric two-player case.
 
 Three-player tables reduce to a cubic in p; general n-player dilemma
-ladders build (psi, omega) polynomials by recursion on the ladder; the
+ladders give (psi, omega) in Bernstein form, with the ladder gaps as
+coefficients, and are solved by a port of Brent's method; the
 two-sided (asymmetric) game couples two balance equations
 
     p_x (p_y K_x + (b_x - d_x)) = F_x
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 from .errors import (
     AmbiguousRootError,
@@ -291,7 +291,7 @@ def balanced_p_asym(
     return est_x, est_y
 
 
-def _validate_ladder(ladder, n: int | None) -> int:
+def _validate_ladder(ladder, n: int | None) -> list[float]:
     vals = [float(v) for v in ladder]
     if len(vals) < 4 or len(vals) % 2 != 0:
         raise DomainError("ladder must hold 2n payoffs with n >= 2")
@@ -303,7 +303,126 @@ def _validate_ladder(ladder, n: int | None) -> int:
             raise DomainError("ladder payoffs must decrease strictly")
     if not all(math.isfinite(v) for v in vals):
         raise DomainError("ladder payoffs must be finite")
-    return players
+    return vals
+
+
+# Brent's method: the iteration cap of scipy.optimize.brentq
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A step-for-step port of ``scipy.optimize.brentq`` (scipy's ``brentq.c``,
+    after Brent 1973, ch. 4): each step takes an inverse quadratic or secant
+    step when it is short enough and bisects otherwise, until the bracket is
+    narrower than xtol + rtol |x|. It makes the same steps in the same float
+    operations as scipy, so it returns the same root bit for bit. Raises
+    ``NoValidRootError`` when f(a) and f(b) have the same sign or 100
+    iterations do not converge.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoValidRootError(f"function does not change sign on [{a!r}, {b!r}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoValidRootError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+
+
+def _binomials(m: int) -> list[float]:
+    """C(m, k) for k = 0..m as floats."""
+    try:
+        return [float(math.comb(m, k)) for k in range(m + 1)]
+    except OverflowError:
+        raise DomainError(f"binomial weights of degree {m} overflow float64") from None
+
+
+def _ladder_bernstein(vals: list[float]) -> tuple[list[float], list[float]]:
+    """Bernstein coefficients of (psi, omega), indexed by the power of p.
+
+    They are the ladder gaps C_i - D_{i+2} and D_{j+1} - C_j, listed from
+    the bottom of the ladder up; all are positive on a strict ladder.
+    """
+    psi = [c - d for c, d in zip(vals[1::2], vals[2::2])]
+    omega = [d - c for d, c in zip(vals[0::2], vals[1::2])]
+    return psi[::-1], omega[::-1]
+
+
+def _weighted(beta: list[float]) -> list[float]:
+    """C(m, k) b_k for Bernstein coefficients b_0..b_m."""
+    return [c * b for c, b in zip(_binomials(len(beta) - 1), beta)]
+
+
+def _derivative(beta: list[float]) -> list[float]:
+    """Weighted Bernstein coefficients of the derivative: m (b_{k+1} - b_k)."""
+    m = len(beta) - 1
+    return _weighted([m * (b - a) for a, b in zip(beta, beta[1:])])
+
+
+def _bernstein(w: list[float], p: float) -> float:
+    """sum_k w[k] p^k q^(m-k), q = 1 - p, by Horner in p/q (p <= 1/2) or q/p.
+
+    With nonnegative weights every term is nonnegative, so on [0, 1] the
+    sum carries no cancellation whatever the degree.
+    """
+    q = 1.0 - p
+    s = 0.0
+    if p <= 0.5:
+        t = p / q
+        for c in reversed(w):
+            s = s * t + c
+        return s * q ** (len(w) - 1)
+    t = q / p
+    for c in w:
+        s = s * t + c
+    return s * p ** (len(w) - 1)
+
+
+def _power_form(beta: list[float]) -> np.ndarray:
+    """Ascending power coefficients a_r = C(m, r) Delta^r b_0 of a Bernstein form."""
+    diffs = np.array(beta)
+    out = np.empty(len(beta))
+    for r, c in enumerate(_binomials(len(beta) - 1)):
+        out[r] = c * diffs[0]
+        diffs = diffs[1:] - diffs[:-1]
+    return out
 
 
 def psi_omega_coeffs(ladder) -> tuple[np.ndarray, np.ndarray]:
@@ -311,22 +430,18 @@ def psi_omega_coeffs(ladder) -> tuple[np.ndarray, np.ndarray]:
 
     The ladder interleaves defection and cooperation payoffs from best to
     worst: (D_1, C_0, D_2, C_1, ..., D_n, C_{n-1}), strictly decreasing.
-    Recursion: against one more cooperator the ladder loses its worst two
-    rungs, against one more defector its best two; psi and omega mix the two
-    reduced ladders with weights p and q.
+    Mixing, with weights p and q = 1 - p, the ladders that face one more
+    cooperator and one more defector is de Casteljau's algorithm, so psi and
+    omega are Bernstein polynomials whose coefficients are the ladder gaps:
+
+        psi(p)   = sum_{i=0}^{n-2} C(n-2, i) p^(n-2-i) q^i (C_i - D_{i+2})
+        omega(p) = sum_{j=0}^{n-1} C(n-1, j) p^(n-1-j) q^j (D_{j+1} - C_j)
+
+    The power coefficients follow by forward differences,
+    a_r = C(m, r) Delta^r b_0, in O(n^2) work.
     """
-    vals = [float(v) for v in ladder]
-    if len(vals) == 4:
-        d1, c0, d2, c1 = vals
-        psi = np.array([c0 - d2])
-        omega = np.array([d2 - c1, (d1 - c0) - (d2 - c1)])
-        return psi, omega
-    psi_c, omega_c = psi_omega_coeffs(vals[:-2])
-    psi_d, omega_d = psi_omega_coeffs(vals[2:])
-    # p * upper + (1 - p) * lower, as coefficient arrays
-    psi = npoly.polyadd(npoly.polysub(npoly.polymulx(psi_c), npoly.polymulx(psi_d)), psi_d)
-    omega = npoly.polyadd(npoly.polysub(npoly.polymulx(omega_c), npoly.polymulx(omega_d)), omega_d)
-    return psi, omega
+    psi, omega = _ladder_bernstein([float(v) for v in ladder])
+    return _power_form(psi), _power_form(omega)
 
 
 def balanced_pn(
@@ -334,37 +449,43 @@ def balanced_pn(
 ) -> Estimate:
     """Balanced cooperation probability for an n-player dilemma ladder.
 
-    Solves p (psi + omega) = psi by bracketed search on [0, 1] (the balance
-    function changes sign across the interval for every strict ladder). Only
-    when several roots lie in [0, 1] does direct iteration run, and a root it
-    converges to wins. Reduces exactly to the n = 2 and n = 3 solvers.
+    Solves h(p) = p omega - q psi = 0 by Brent's method on [0, 1] (h(0) < 0
+    < h(1) for every strict ladder). psi and omega are evaluated in
+    Bernstein form, whose coefficients are the positive ladder gaps, so
+    every term is nonnegative and the evaluation stays accurate for any n;
+    the power form only supplies ``Estimate.roots``. Direct iteration
+    p <- psi / (psi + omega) runs only when another root in [0, 1] could
+    attract it (map slope of magnitude at most 1), and a root it converges
+    to wins; otherwise iteration could only confirm the bracketed root or
+    fail, so it is skipped. Reduces exactly to the n = 2 and n = 3 solvers.
     """
-    players = _validate_ladder(ladder, n)
-    psi, omega = psi_omega_coeffs(ladder)
-    bal = npoly.polysub(npoly.polymulx(npoly.polyadd(psi, omega)), psi)
-
-    def hfun(p: float) -> float:
-        return float(npoly.polyval(p, bal))
+    vals = _validate_ladder(ladder, n)
+    psi, omega = psi_omega_coeffs(vals)
+    bpsi, bomega = _ladder_bernstein(vals)
+    wpsi, womega = _weighted(bpsi), _weighted(bomega)
 
     def weights(p: float) -> tuple[float, float]:
-        return float(npoly.polyval(p, psi)), float(npoly.polyval(p, omega))
+        return _bernstein(wpsi, p), _bernstein(womega, p)
 
-    h0, h1 = hfun(0.0), hfun(1.0)
-    if h0 == 0.0:
-        p = 0.0
-    elif h1 == 0.0:
-        p = 1.0
-    elif h0 * h1 < 0.0:
-        p = brentq(hfun, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    else:
-        raise NoValidRootError("balance function does not change sign on [0, 1]")
+    def hfun(p: float) -> float:
+        s, o = weights(p)
+        return p * o - (1.0 - p) * s
 
+    p = brentq(hfun, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    bal = npoly.polysub(npoly.polymulx(npoly.polyadd(psi, omega)), psi)
     all_roots = _real_roots(list(bal[::-1]), policy.eps_root)
     inside = [r for r in all_roots if -policy.eps_root <= r <= 1 + policy.eps_root]
-    if len(inside) > 1:
-        # several roots can win: prefer one that plain iteration confirms
+    agree = max(policy.eps_root, 1e-9)
+    dpsi, domega = _derivative(bpsi), _derivative(bomega)
+
+    def slope(r: float) -> float:
+        s, o = weights(r)
+        return (_bernstein(dpsi, r) * o - s * _bernstein(domega, r)) / (s + o) ** 2
+
+    if any(abs(r - p) > agree and abs(slope(r)) <= 1.0 for r in inside):
+        # a rival root could attract iteration; a root it converges to wins
         trace = _fixed_point(weights, 0.5, policy, keep=False)
-        if trace.converged and abs(trace.limit - p) > max(policy.eps_root, 1e-9):
+        if trace.converged and abs(trace.limit - p) > agree:
             p = _root_at(inside, trace.limit, policy)
 
     cls = GameClass(GameTag.PRISONERS_DILEMMA)

@@ -1,6 +1,11 @@
 """Three-player cubic, asymmetric coupling, and n-player ladders."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from numpy.polynomial import polynomial as npoly
 from cooprob import (
     AsymmetricTable2,
     DegenerateWeightsError,
+    DinerSpec,
     DomainError,
     GameTag,
     Leaning,
@@ -21,6 +27,7 @@ from cooprob import (
     balanced_p_asym,
     balanced_pn,
     cubic_coefficients,
+    diner_ladder,
     equiprobability3,
     expected_payoff3,
     iterate_asym,
@@ -29,6 +36,7 @@ from cooprob import (
 )
 
 SQRT3 = math.sqrt(3.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ------------------------------------------------------------ three-player
@@ -235,3 +243,120 @@ def test_balanced_pn_iteration_overrides_the_bracketed_root():
     est = balanced_pn([12.73, 12.72, 10.23, 10.22, 9.47, 6.81, 6.69, 1.98])
     assert len([r for r in est.roots if 0.0 <= r <= 1.0]) == 3
     assert est.p == pytest.approx(0.035771375209147, abs=1e-12)
+
+
+# ------------------------------------------------------------ ladder core
+
+
+def _ladder(rng, n):
+    return np.cumsum(rng.exponential(1.0, 2 * n))[::-1].tolist()
+
+
+def _recursive_psi_omega(ladder):
+    """The ladder recursion p * upper + q * lower on coefficient arrays,
+    memoized on the sub-ladder's offset and player count."""
+    vals = [float(v) for v in ladder]
+
+    @functools.lru_cache(maxsize=None)
+    def rec(start, players):
+        if players == 2:
+            d1, c0, d2, c1 = vals[start:start + 4]
+            return np.array([c0 - d2]), np.array([d2 - c1, (d1 - c0) - (d2 - c1)])
+        upper, lower = rec(start, players - 1), rec(start + 2, players - 1)
+        return tuple(
+            npoly.polyadd(npoly.polysub(npoly.polymulx(u), npoly.polymulx(lo)), lo)
+            for u, lo in zip(upper, lower)
+        )
+
+    return rec(0, len(vals) // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_psi_omega_closed_form_matches_the_recursion(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        ladder = _ladder(rng, n)
+        for got, want in zip(psi_omega_coeffs(ladder), _recursive_psi_omega(ladder)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_brentq_port_is_bitwise_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        psi, omega = psi_omega_coeffs(_ladder(rng, int(rng.integers(2, 9))))
+        bal = npoly.polysub(npoly.polymulx(npoly.polyadd(psi, omega)), psi)
+
+        def h(p):
+            return float(npoly.polyval(p, bal))
+
+        ours = nplayer.brentq(h, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        theirs = optimize.brentq(h, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert ours.hex() == float(theirs).hex()
+
+
+def test_brentq_port_failures_are_typed():
+    with pytest.raises(NoValidRootError, match="does not change sign"):
+        nplayer.brentq(lambda x: x + 2.0, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    # a step at 0 inside [-1e300, 1e300] needs ~2000 bisections to meet
+    # xtol = 5e-324, far past the 100-iteration cap
+    with pytest.raises(NoValidRootError, match="did not converge"):
+        nplayer.brentq(lambda x: -1.0 if x < 0 else 1.0, -1e300, 1e300, xtol=5e-324, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_balanced_pn_on_long_diner_ladders_brackets_the_exact_root(n):
+    mp = pytest.importorskip("mpmath")
+    ladder = diner_ladder(DinerSpec(r=1.0 + 0.75 * n, s=0.375 * n + 1.5, u=0.375 * n + 0.5, w=1.0, n=n))
+    p = balanced_pn(ladder).p
+
+    def h(x):
+        # psi and omega by the ladder recursion at one point, in 40 digits
+        with mp.workdps(40):
+            x = mp.mpf(x)
+            q = 1 - x
+            v = [mp.mpf(c) for c in ladder]
+            psi = [v[i + 1] - v[i + 2] for i in range(0, 2 * n - 3, 2)]
+            omega = [x * (v[i] - v[i + 1]) + q * (v[i + 2] - v[i + 3]) for i in range(0, 2 * n - 3, 2)]
+            while len(psi) > 1:
+                psi = [x * a + q * b for a, b in zip(psi, psi[1:])]
+                omega = [x * a + q * b for a, b in zip(omega, omega[1:])]
+            return x * omega[0] - q * psi[0]
+
+    assert h(mp.mpf(p) - mp.mpf("1e-9")) < 0 < h(mp.mpf(p) + mp.mpf("1e-9"))
+
+
+def test_trial_20_needs_no_oracle(monkeypatch):
+    # trial 20 of a seeded draw of multi-root ladders (n = 10): roots near
+    # 0.138, 0.523 and 0.9996 with map slopes -1.18, 2.25 and 5e-5; neither
+    # rival can attract iteration, which from 0.5 falls into a 2-cycle and
+    # used to run all 10^6 steps
+    rng = np.random.default_rng(1)
+    for _ in range(21):
+        n = int(rng.integers(2, 13))
+        ladder = np.cumsum(rng.exponential(1, 2 * n) * 10 ** rng.uniform(-3, 3, 2 * n))[::-1]
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran although no rival root attracts")
+
+    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    est = balanced_pn(ladder.tolist())
+    assert len([r for r in est.roots if 0.0 <= r <= 1.0]) == 3
+    assert est.p == pytest.approx(0.9996058448564662, abs=1e-12)
+
+
+def test_balanced_pn_rejects_ladders_past_float64_binomials():
+    with pytest.raises(DomainError, match="overflow float64"):
+        balanced_pn(list(range(2200, 0, -1)))
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, cooprob; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
