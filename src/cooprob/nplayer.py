@@ -1,17 +1,13 @@
 """Solvers beyond the symmetric two-player case.
 
-Three-player tables reduce to a cubic in p; general n-player dilemma
-ladders give (psi, omega) in Bernstein form, with the ladder gaps as
-coefficients, and are solved by a port of Brent's method; the
-two-sided (asymmetric) game couples two balance equations
-
-    p_x (p_y K_x + (b_x - d_x)) = F_x
-    p_y (p_x K_y + (b_y - d_y)) = F_y
-
+Three-player tables and n-player dilemma ladders share one ladder solver:
+psi and omega in Bernstein form, with the ladder gaps as coefficients, the
+balance roots in [0, 1] isolated by subdivision and refined by a port of
+Brent's method, and one root rule. The two-sided (asymmetric) game couples
+p_x (p_y K_x + (b_x - d_x)) = F_x and p_y (p_x K_y + (b_y - d_y)) = F_y,
 with K = a - b - c + d and F = b - c per side, eliminated into one
-quadratic per side. Root selection is residual-based, stability is judged
-by the slope of the balance map at the root, and the plain-iteration oracle
-arbitrates whenever the algebra leaves more than one admissible answer.
+quadratic per side; the pair with the smallest residual wins, checked
+against the alternating-iteration oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     AmbiguousRootError,
@@ -30,7 +25,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .estimators import EquiprobabilityReport, Leaning
-from .iteration import _fixed_point, iterate3, iterate_asym, weights3
+from .iteration import _fixed_point, iterate_asym
 from .tables import (
     DEFAULT_POLICY,
     AsymmetricTable2,
@@ -84,81 +79,32 @@ def _real_roots(desc_coeffs: list[float], eps_root: float) -> list[float]:
     """Real roots of a polynomial given by descending coefficients."""
     if len(desc_coeffs) <= 1:
         return []
-    roots = np.roots(desc_coeffs)
-    scale = max(abs(r) for r in roots) if len(roots) else 1.0
-    out = []
-    for r in roots:
-        if abs(r.imag) <= eps_root * max(1.0, scale):
-            out.append(float(r.real))
-    return sorted(out)
-
-
-def _map_slope3(table: PayoffTable3, p: float) -> float:
-    """Slope of psi/(psi+omega) at p; magnitude below 1 means attracting."""
-    f, g, h, j, k, m = table.values()
-    q = 1.0 - p
-    psi, omega = weights3(f, g, h, j, k, m, p)
-    dpsi = (g - h) - (j - k)
-    domega = 2.0 * p * (f - g) + 2.0 * (1.0 - 2.0 * p) * (h - j) - 2.0 * q * (k - m)
-    total = psi + omega
-    if total == 0.0:
-        raise DegenerateWeightsError("psi + omega = 0 at candidate root")
-    return (dpsi * omega - psi * domega) / (total * total)
-
-
-def _root_at(candidates, limit: float, policy: NumericPolicy) -> float:
-    """The candidate root the oracle's limit lands on, clamped to [0, 1]."""
-    matches = [r for r in candidates if abs(r - limit) <= max(policy.eps_root, 1e-9)]
-    if not matches:
-        raise NoValidRootError(f"no candidate root matches the iteration limit {limit!r}")
-    return min(1.0, max(0.0, matches[0]))
+    roots = np.roots(desc_coeffs).tolist()
+    scale = max(map(abs, roots), default=1.0)
+    return sorted(r.real for r in roots if abs(r.imag) <= eps_root * max(1.0, scale))
 
 
 def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
     """Balanced cooperation probability for a three-player dilemma table.
 
-    The balance cubic may lose leading degree (its top coefficients vanish
-    for many regular tables); degeneration falls through to the quadratic or
-    linear form and is flagged on the estimate. Among real roots in [0, 1]
-    the attracting one (map slope magnitude below 1) is returned, else a
-    lone root in [0, 1] whatever its slope; among several repelling roots
-    the iteration oracle picks, and several attracting ones raise an
-    ambiguity error carrying the candidates.
+    The table (f, g, h, j, k, m) is the n = 3 dilemma ladder, equalities
+    allowed, and p comes from the ladder solver of :func:`balanced_pn`. Root
+    rule: a lone root in [0, 1] wins, else the lone attracting one (map slope
+    below 1 in magnitude), else the attracting root iteration from 1/2
+    converges to; anything else raises ``AmbiguousRootError``. The cubic in
+    power form only fills ``roots`` and ``degenerate_branch``, so
+    ``eps_coeff`` changes those two fields and never p.
     """
     cls = classify3(table)
     if cls.tag is not GameTag.PRISONERS_DILEMMA:
         raise UnsupportedClassError("balanced_p3 requires the dilemma chain f>=g>=h>=j>=k>=m")
-    coeffs = cubic_coefficients(table).as_tuple()
+    p, _ = _ladder_root(list(table.values()), policy)
+    desc = list(cubic_coefficients(table).as_tuple())
     tol = policy.coeff_tol(payoff_scale(table.values()))
-    desc = list(coeffs)
-    degenerate = False
     while len(desc) > 1 and abs(desc[0]) <= tol:
         desc.pop(0)
-        degenerate = len(desc) < 4  # any drop below cubic counts
-    if all(abs(x) <= tol for x in desc):
-        raise DegenerateWeightsError("balance polynomial vanished identically")
-    all_roots = _real_roots(desc, policy.eps_root)
-    poly_scale = max(abs(x) for x in desc)
-    candidates = [
-        min(1.0, max(0.0, r))
-        for r in all_roots
-        if -policy.eps_root <= r <= 1.0 + policy.eps_root
-        and abs(np.polyval(desc, r)) <= max(policy.eps_root * poly_scale, 1e-9)
-    ]
-    if not candidates:
-        raise NoValidRootError(f"no balance root in [0, 1]; real roots {all_roots!r}")
-    stable = [r for r in candidates if abs(_map_slope3(table, r)) < 1.0]
-    if len(stable) == 1 or len(candidates) == 1:
-        # the attracting root, or a lone root whatever its slope
-        p = (stable or candidates)[0]
-    elif len(stable) > 1:
-        raise AmbiguousRootError(
-            f"several attracting roots in [0, 1]: {stable!r}", tuple(stable)
-        )
-    else:
-        # slope test rejected several roots; let the oracle pick
-        p = _root_at(candidates, iterate3(table, 0.5, policy).limit, policy)
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(all_roots), degenerate_branch=degenerate)
+    roots = tuple(_real_roots(desc, policy.eps_root))
+    return Estimate(p, 1.0 - p, "balanced", cls, roots=roots, degenerate_branch=len(desc) < 4)
 
 
 def equiprobability3(table: PayoffTable3) -> EquiprobabilityReport:
@@ -390,12 +336,6 @@ def _weighted(beta: list[float]) -> list[float]:
     return [c * b for c, b in zip(_binomials(len(beta) - 1), beta)]
 
 
-def _derivative(beta: list[float]) -> list[float]:
-    """Weighted Bernstein coefficients of the derivative: m (b_{k+1} - b_k)."""
-    m = len(beta) - 1
-    return _weighted([m * (b - a) for a, b in zip(beta, beta[1:])])
-
-
 def _bernstein(w: list[float], p: float) -> float:
     """sum_k w[k] p^k q^(m-k), q = 1 - p, by Horner in p/q (p <= 1/2) or q/p.
 
@@ -444,25 +384,41 @@ def psi_omega_coeffs(ladder) -> tuple[np.ndarray, np.ndarray]:
     return _power_form(psi), _power_form(omega)
 
 
-def balanced_pn(
-    ladder, n: int | None = None, policy: NumericPolicy = DEFAULT_POLICY
-) -> Estimate:
-    """Balanced cooperation probability for an n-player dilemma ladder.
+# a piece narrower than this whose coefficients still change sign holds one
+# root; a fixed width, so a loose eps_root cannot make halves of [0, 1] roots
+_ROOT_WIDTH = 1e-12
 
-    Solves h(p) = p omega - q psi = 0 by Brent's method on [0, 1] (h(0) < 0
-    < h(1) for every strict ladder). psi and omega are evaluated in
-    Bernstein form, whose coefficients are the positive ladder gaps, so
-    every term is nonnegative and the evaluation stays accurate for any n;
-    the power form only supplies ``Estimate.roots``. Direct iteration
-    p <- psi / (psi + omega) runs only when another root in [0, 1] could
-    attract it (map slope of magnitude at most 1), and a root it converges
-    to wins; otherwise iteration could only confirm the bracketed root or
-    fail, so it is skipped. Reduces exactly to the n = 2 and n = 3 solvers.
+
+def _halves(b: list[float]) -> tuple[list[float], list[float]]:
+    """Bernstein coefficients of both halves of a piece, by de Casteljau at 1/2."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(x + y) * 0.5 for x, y in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+    """Balanced p of a weakly decreasing dilemma ladder, and every root of
+    h = p omega - q psi in [0, 1].
+
+    A zero at the same end of the weighted coefficients of psi and omega is
+    a common factor p or q; dropping it leaves psi + omega > 0 on [0, 1].
+    With t = p / q, h = q^n sum_k H_k t^k, H_k = W_{k-1} - S_k - S_{k-1}.
+    Halving [0, 1] by de Casteljau isolates the roots: a piece whose
+    coefficients change sign once holds one, found by Brent's method; an
+    exact zero at 0, 1 or a split point is one. The choice among the roots
+    follows the root rule stated under :func:`balanced_p3`.
     """
-    vals = _validate_ladder(ladder, n)
-    psi, omega = psi_omega_coeffs(vals)
     bpsi, bomega = _ladder_bernstein(vals)
     wpsi, womega = _weighted(bpsi), _weighted(bomega)
+    if not any(wpsi) and not any(womega):
+        raise DegenerateWeightsError("balance polynomial vanished identically")
+    while wpsi and wpsi[0] == womega[0] == 0.0:
+        wpsi, womega = wpsi[1:], womega[1:]
+    while wpsi and wpsi[-1] == womega[-1] == 0.0:
+        wpsi, womega = wpsi[:-1], womega[:-1]
 
     def weights(p: float) -> tuple[float, float]:
         return _bernstein(wpsi, p), _bernstein(womega, p)
@@ -471,22 +427,64 @@ def balanced_pn(
         s, o = weights(p)
         return p * o - (1.0 - p) * s
 
-    p = brentq(hfun, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    bal = npoly.polysub(npoly.polymulx(npoly.polyadd(psi, omega)), psi)
-    all_roots = _real_roots(list(bal[::-1]), policy.eps_root)
-    inside = [r for r in all_roots if -policy.eps_root <= r <= 1 + policy.eps_root]
-    agree = max(policy.eps_root, 1e-9)
-    dpsi, domega = _derivative(bpsi), _derivative(bomega)
+    deg = len(womega)
+    hw = [w - s - r for w, s, r in zip([0.0] + womega, wpsi + [0.0, 0.0], [0.0] + wpsi + [0.0])]
+    roots: list[float] = []
 
-    def slope(r: float) -> float:
-        s, o = weights(r)
-        return (_bernstein(dpsi, r) * o - s * _bernstein(domega, r)) / (s + o) ** 2
+    def isolate(b: list[float], lo: float, hi: float) -> None:
+        signs = [x > 0.0 for x in b if x != 0.0]
+        changes = sum(s != t for s, t in zip(signs, signs[1:]))
+        if changes == 1 and b[0] != 0.0 and b[-1] != 0.0:
+            def piece(x: float) -> float:
+                # the ends keep the piece's own values, so the bracket holds
+                # even where h is at rounding level there
+                return b[0] if x == lo else b[-1] if x == hi else hfun(x)
 
-    if any(abs(r - p) > agree and abs(slope(r)) <= 1.0 for r in inside):
-        # a rival root could attract iteration; a root it converges to wins
+            roots.append(brentq(piece, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        elif changes:
+            mid = 0.5 * (lo + hi)
+            if hi - lo < _ROOT_WIDTH:
+                roots.append(mid)
+                return
+            left, right = _halves(b)
+            isolate(left, lo, mid)
+            if right[0] == 0.0:
+                roots.append(mid)
+            isolate(right, mid, hi)
+
+    bern = [c / w for c, w in zip(hw, _binomials(deg))]
+    roots += [0.0] if bern[0] == 0.0 else []
+    isolate(bern, 0.0, 1.0)
+    roots += [1.0] if bern[-1] == 0.0 else []
+    if len(roots) == 1:
+        return roots[0], roots
+
+    # at a root, g = psi / (psi + omega) has slope g' = 1 - h' / (psi + omega)
+    dh = [(k + 1) * b - (deg - k) * a for k, (a, b) in enumerate(zip(hw, hw[1:]))]
+    attracting = [r for r in roots if abs(1.0 - _bernstein(dh, r) / sum(weights(r))) < 1.0]
+    if len(attracting) == 1:
+        return attracting[0], roots
+    if attracting:
         trace = _fixed_point(weights, 0.5, policy, keep=False)
-        if trace.converged and abs(trace.limit - p) > agree:
-            p = _root_at(inside, trace.limit, policy)
+        nearest = min(attracting, key=lambda r: abs(r - trace.limit))
+        if trace.converged and abs(nearest - trace.limit) <= max(policy.eps_root, 1e-9):
+            return nearest, roots
+    raise AmbiguousRootError(
+        f"no single attracting root among the balance roots {roots!r} in [0, 1]", tuple(roots)
+    )
 
+
+def balanced_pn(
+    ladder, n: int | None = None, policy: NumericPolicy = DEFAULT_POLICY
+) -> Estimate:
+    """Balanced cooperation probability for an n-player dilemma ladder.
+
+    psi and omega are evaluated in Bernstein form, whose coefficients are
+    the positive ladder gaps, so every term is nonnegative and accurate for
+    any n. ``Estimate.roots`` lists every balance root in [0, 1]; the choice
+    among them is the root rule of :func:`balanced_p3`. Reduces
+    exactly to the n = 2 and n = 3 solvers.
+    """
+    p, roots = _ladder_root(_validate_ladder(ladder, n), policy)
     cls = GameClass(GameTag.PRISONERS_DILEMMA)
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(all_roots))
+    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots))

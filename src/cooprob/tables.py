@@ -215,11 +215,11 @@ DEFAULT_POLICY = NumericPolicy()
 class Estimate:
     """A cooperation-probability estimate.
 
-    ``q`` is stored as ``1 - p`` exactly as computed. ``roots`` carries every
-    real candidate root of the balance polynomial (ascending), including ones
-    rejected for lying outside [0, 1]. ``degenerate_branch`` is set when a
-    reduced-degree closed form was used because a leading coefficient
-    vanished.
+    ``q`` is stored as ``1 - p`` exactly as computed. ``roots`` carries the
+    real roots of the balance polynomial (ascending): all of them, also those
+    outside [0, 1], except from ``balanced_pn``, which lists those in [0, 1].
+    ``degenerate_branch`` is set when a leading coefficient of the balance
+    polynomial vanished, so a reduced-degree form applies.
     """
 
     p: float

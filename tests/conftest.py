@@ -65,3 +65,13 @@ def sample_tables(tag: GameTag, size: int, seed: int):
 def sample_table_objects(tag: GameTag, size: int, seed: int) -> list[PayoffTable2]:
     a, b, c, d = sample_tables(tag, size, seed)
     return [PayoffTable2(*xs) for xs in zip(a, b, c, d)]
+
+
+def sample_integer_chains(size: int, seed: int, top: int = 9) -> list[list[int]]:
+    """`size` three-player chains f >= g >= h >= j >= k >= m of integers in 0..top.
+
+    Unlike the samplers above, this one keeps ties: they put common factors
+    p or q into the weights and roots at 0, 1/2 and 1.
+    """
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.integers(0, top + 1, 6))[::-1].tolist() for _ in range(size)]

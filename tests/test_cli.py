@@ -93,6 +93,9 @@ def test_estimate3_includes_coefficients():
     # a lone root that repels under iteration is still the answer
     lone = run_json("estimate3", "--table", "95,68,67,66,10,9")
     assert lone["result"]["p"] == pytest.approx(0.640438579215, abs=1e-12)
+    # tied payoffs: the balance function is p^3, whose only root is 0
+    tied = run_json("estimate3", "--table", "6,5,3,2,2,0")
+    assert tied["result"]["p"] == 0.0
 
 
 def test_asym_two_sided_payload():

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from conftest import sample_integer_chains
+
 from cooprob import (
+    AmbiguousRootError,
     AsymmetricTable2,
+    CooprobError,
     DegenerateWeightsError,
     DinerSpec,
     DomainError,
@@ -83,6 +87,49 @@ def test_balanced_p3_gap_zero_table_gives_half():
     est = balanced_p3(PayoffTable3(13, 8, 7, 6, 3, 2))
     assert est.p == pytest.approx(0.5, abs=1e-12)
     assert equiprobability3(PayoffTable3(13, 8, 7, 6, 3, 2)).gap == 0.0
+
+
+@pytest.mark.parametrize(
+    "table, p",
+    [
+        ((6, 5, 3, 2, 2, 0), 0.0),  # h = p^3
+        ((9, 4, 3, 2, 2, 2), (math.sqrt(21.0) - 1.0) / (math.sqrt(21.0) + 9.0)),  # factor p
+        ((6, 6, 4, 3, 2, 1), 1.0),  # h = -(1 + p) q^2
+        ((7, 7, 7, 6, 5, 1), (math.sqrt(17.0) - 3.0) / (math.sqrt(17.0) + 1.0)),  # factor q
+        ((8, 7, 7, 6, 6, 0), 0.0),  # psi = 0
+    ],
+)
+def test_balanced_p3_on_tied_tables(table, p):
+    # ties put a common factor p or q into psi and omega, or roots at 0 and 1
+    est = balanced_p3(PayoffTable3(*table))
+    assert est.p == pytest.approx(p, abs=1e-14)
+    if p in (0.0, 1.0):
+        assert est.p == p
+
+
+def test_balanced_p3_returns_fixed_points_of_the_extended_map():
+    mp = pytest.importorskip("mpmath")
+    returned = 0
+    for chain in sample_integer_chains(500, seed=11):
+        try:
+            p = balanced_p3(PayoffTable3(*chain)).p
+        except AmbiguousRootError:
+            continue
+        returned += 1
+        with mp.workdps(40):
+            f, g, h, j, k, m = (mp.mpf(v) for v in chain)
+
+            def weights(x):
+                q = 1 - x
+                return x * (g - h) + q * (j - k), x * x * (f - g) + 2 * x * q * (h - j) + q * q * (k - m)
+
+            x = mp.mpf(p)
+            if sum(weights(x)) == 0:
+                # a common factor p or q: the map's continuous extension
+                x += mp.mpf("1e-30") if p == 0.0 else -mp.mpf("1e-30")
+            psi, omega = weights(x)
+            assert abs(psi / (psi + omega) - p) < 1e-8, (chain, p)
+    assert returned > 450
 
 
 def test_balanced_p3_rejects_broken_chain():
@@ -230,7 +277,6 @@ def test_lone_repelling_root_is_returned_without_the_oracle(monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran on a single-root table")
 
-    monkeypatch.setattr(nplayer, "iterate3", no_oracle)
     monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
     p3 = balanced_p3(PayoffTable3(*LONE_REPELLING)).p
     assert p3 == pytest.approx(0.6404385792148, abs=1e-12)
@@ -344,6 +390,77 @@ def test_trial_20_needs_no_oracle(monkeypatch):
     est = balanced_pn(ladder.tolist())
     assert len([r for r in est.roots if 0.0 <= r <= 1.0]) == 3
     assert est.p == pytest.approx(0.9996058448564662, abs=1e-12)
+
+
+def _recursion_map(ladder, x):
+    """psi / (psi + omega) at x by the ladder recursion p * upper + q * lower."""
+    v, q = ladder, 1.0 - x
+    psi = [v[i + 1] - v[i + 2] for i in range(0, len(v) - 3, 2)]
+    omega = [x * (v[i] - v[i + 1]) + q * (v[i + 2] - v[i + 3]) for i in range(0, len(v) - 3, 2)]
+    while len(psi) > 1:
+        psi = [x * a + q * b for a, b in zip(psi, psi[1:])]
+        omega = [x * a + q * b for a, b in zip(omega, omega[1:])]
+    return psi[0] / (psi[0] + omega[0])
+
+
+def _slope(ladder, r):
+    return (_recursion_map(ladder, r + 1e-7) - _recursion_map(ladder, r - 1e-7)) / 2e-7
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle ran")
+
+
+def test_trial_29_returns_the_lone_attracting_root(monkeypatch):
+    # trial 29 of the draw of test_trial_20_needs_no_oracle (n = 9): roots
+    # near 0.0575, 0.5518 and 0.9296 with map slopes -1.68, 2.66 and -0.29;
+    # iteration from 0.5 falls into a 2-cycle, and the attracting root wins
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        n = int(rng.integers(2, 13))
+        ladder = np.cumsum(rng.exponential(1, 2 * n) * 10 ** rng.uniform(-3, 3, 2 * n))[::-1]
+    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    est = balanced_pn(ladder.tolist())
+    assert len(est.roots) == 3
+    assert est.p == pytest.approx(0.92956197575641, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 600])
+def test_long_random_ladders_need_no_oracle(monkeypatch, n):
+    # n = 100 has three roots, of which only the first attracts; n = 600 has one
+    ladder = np.cumsum(np.random.default_rng(0).exponential(1, 2 * n))[::-1].tolist()
+    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    est = balanced_pn(ladder)
+    assert est.p == est.roots[0]
+    assert [abs(_slope(ladder, r)) < 1.0 for r in est.roots] == [True] + [False] * (len(est.roots) - 1)
+    assert _recursion_map(ladder, est.p - 1e-9) > est.p - 1e-9
+    assert _recursion_map(ladder, est.p + 1e-9) < est.p + 1e-9
+
+
+def test_thousand_player_ladder_fails_typed():
+    # three roots near 0.457, 0.478 and 0.508, none attracting; the power
+    # form of this ladder overflows float64
+    ladder = np.cumsum(np.random.default_rng(3).exponential(1, 2000))[::-1].tolist()
+    with pytest.raises(CooprobError) as info:
+        balanced_pn(ladder)
+    assert isinstance(info.value, AmbiguousRootError)
+    assert len(info.value.candidates) == 3
+
+
+# ten players, three roots with map slopes -1.36, 3.18 and -1.86
+ALL_REPELLING = [944.67, 934.62, 934.45, 934.4, 934.25, 933.76, 536.3, 527.96, 527.94, 527.85,
+                 527.71, 514.03, 514.02, 137.53, 127.91, 126.74, 27.72, 27.69, 25.71, 0.01]
+
+
+def test_all_repelling_roots_raise_with_the_candidates(monkeypatch):
+    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    with pytest.raises(AmbiguousRootError) as info:
+        balanced_pn(ALL_REPELLING)
+    roots = info.value.candidates
+    assert roots == pytest.approx([0.25138026028801, 0.54015886727085, 0.91216716201067], abs=1e-12)
+    assert all(abs(_slope(ALL_REPELLING, r)) > 1.3 for r in roots)
+    for r in roots:
+        assert _recursion_map(ALL_REPELLING, r) == pytest.approx(r, abs=1e-12)
 
 
 def test_balanced_pn_rejects_ladders_past_float64_binomials():
