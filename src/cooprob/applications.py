@@ -12,7 +12,10 @@ payoff tables and reuses the balanced estimators:
 * war of attrition: concede early (cooperate) or bid on (defect).
 
 Multi-option distributions weight each option by the summed pairwise
-cooperation/defection probabilities and normalize.
+cooperation/defection probabilities and normalize. The builders work on
+numpy arrays of per-gap probabilities and return read-only float64 arrays
+of per-option values; a payoff scale whose arithmetic overflows float64
+raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -153,23 +156,44 @@ class AttritionSpec:
             raise DomainError("max_bid must be at least 1")
 
 
-@dataclass(frozen=True)
+def _read_only_copy(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class OptionDistribution:
     """Normalized weights over the options of a multi-option game.
 
     ``weights`` holds the unnormalized per-option sums U_i; ``total`` their
-    sum W; ``probabilities`` is weights / total.
+    sum W; ``probabilities`` is weights / total. Both are read-only 1-D
+    float64 arrays, copied from whatever sequence or array is passed in, so
+    the caller's array stays writable and unshared. Instances compare by
+    identity: ``==`` over arrays has no single truth value.
     """
 
-    probabilities: tuple[float, ...]
-    weights: tuple[float, ...]
+    probabilities: np.ndarray
+    weights: np.ndarray
     total: float
 
     def __post_init__(self) -> None:
-        s = sum(self.probabilities)
-        if abs(s - 1.0) > 1e-12:
+        probs = _read_only_copy(self.probabilities)
+        weights = _read_only_copy(self.weights)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "weights", weights)
+        if probs.ndim != 1 or probs.shape != weights.shape:
+            raise InternalError(
+                f"probabilities {probs.shape} and weights {weights.shape} "
+                "must be 1-D arrays of one length"
+            )
+        # a NaN or infinity anywhere makes its array's sum non-finite
+        s = float(probs.sum())
+        if not abs(s - 1.0) <= 1e-12:
             raise InternalError(f"distribution sums to {s!r}, not 1")
-        if any(p < 0.0 for p in self.probabilities):
+        if not (math.isfinite(float(weights.sum())) and math.isfinite(self.total)):
+            raise InternalError("non-finite weight or total in distribution")
+        if (probs < 0.0).any():
             raise InternalError("negative probability in distribution")
 
 
@@ -283,6 +307,14 @@ def diner_conjecture_test(
     )
 
 
+def _finite_by_delta(spec, p: np.ndarray) -> np.ndarray:
+    """The per-gap probabilities ``p``, or DomainError when the spec's payoff
+    scale overflowed float64 on the way to them."""
+    if not np.isfinite(p).all():
+        raise DomainError(f"payoff scale of {spec!r} overflows float64")
+    return p
+
+
 def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
     """(higher, lower) of two distinct levels that must lie in 0..top."""
     if i == j:
@@ -330,8 +362,7 @@ def public_goods_distribution(spec: PublicGoodsSpec) -> OptionDistribution:
     levels = np.arange(n + 1, dtype=float)
     weights = levels * p_star + (n - levels) * q_star
     total = n * (n + 1) / 2.0
-    probs = weights / total
-    return OptionDistribution(tuple(probs), tuple(weights), float(total))
+    return OptionDistribution(weights / total, weights, float(total))
 
 
 # ------------------------------------------------------------- traveler
@@ -368,9 +399,10 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     pd = gap < t
     if np.any(pd):
         g = gap[pd]
-        disc = (g + t) ** 2 - 4.0 * g * g  # = (t - g)(t + 3 g) >= 0 on this branch
-        p[pd] = 2.0 * g / (np.sqrt(disc) + g + t)
-    return p
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = (g + t) ** 2 - 4.0 * g * g  # = (t - g)(t + 3 g) >= 0 on this branch
+            p[pd] = 2.0 * g / (np.sqrt(disc) + g + t)
+    return _finite_by_delta(spec, p)
 
 
 def traveler_pij(
@@ -389,18 +421,18 @@ def traveler_distribution(
     p = _traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
     cum = np.concatenate(([0.0], np.cumsum(p)))
     levels = np.arange(n + 1)
-    # sum over lower partners of p(delta), plus over higher partners of q(delta)
-    weights = cum[levels] + ((n - levels) - cum[n - levels])
+    # level i: p over its i lower partners (cum[i]), q over its n - i higher
+    # ones (n - i - cum[n - i], and cum[n - i] is cum reversed)
+    weights = cum + ((n - levels) - cum[::-1])
     total = float(weights.sum())
-    probs = weights / total
-    return OptionDistribution(tuple(probs), tuple(weights), total)
+    return OptionDistribution(weights / total, weights, total)
 
 
 def traveler_mean(spec: TravelerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Expected claim value under the balanced distribution."""
     dist = traveler_distribution(spec, policy)
     claims = spec.s + spec.v * np.arange(spec.steps + 1)
-    return float(np.dot(claims, np.asarray(dist.probabilities)))
+    return float(np.dot(claims, dist.probabilities))
 
 
 # ------------------------------------------------------------ attrition
@@ -415,6 +447,14 @@ def attrition_table2(spec: AttritionSpec, i: int, j: int) -> PayoffTable2:
     hi, lo = _level_pair(i, j, spec.max_bid, "bid")
     x = spec.x
     return PayoffTable2(a=x - lo, b=x / 2.0 - lo, c=x / 2.0 - hi, d=float(-lo))
+
+
+def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.ndarray:
+    """``paper`` mode's conceding probability as a function of the bid gap d:
+    p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d)."""
+    x = spec.x
+    p = (-x / 2.0 + np.sqrt(x * x / 4.0 + 4.0 * deltas * deltas)) / (2.0 * deltas)
+    return _finite_by_delta(spec, p)
 
 
 def attrition_pij(
@@ -432,10 +472,8 @@ def attrition_pij(
     and take that family's root instead.
     """
     hi, lo = _level_pair(i, j, spec.max_bid, "bid")
-    delta = float(hi - lo)
     if mode == "paper":
-        x = spec.x
-        return float((-x / 2.0 + math.sqrt(x * x / 4.0 + 4.0 * delta * delta)) / (2.0 * delta))
+        return float(_attrition_paper_by_delta(spec, np.array([float(hi - lo)]))[0])
     if mode == "dispatch":
         return balanced_p(attrition_table2(spec, i, j), policy).p
     raise DomainError(f"mode must be 'paper' or 'dispatch', got {mode!r}")
@@ -450,10 +488,14 @@ def attrition_distribution(
     higher partners and q-weight from lower ones.
     """
     n = spec.max_bid
-    p = np.array([attrition_pij(spec, d, 0, mode, policy) for d in range(1, n + 1)])
+    if mode == "paper":
+        p = _attrition_paper_by_delta(spec, np.arange(1, n + 1, dtype=float))
+    else:
+        p = np.array([attrition_pij(spec, d, 0, mode, policy) for d in range(1, n + 1)])
     cum = np.concatenate(([0.0], np.cumsum(p)))
     levels = np.arange(n + 1)
-    weights = (levels - cum[levels]) + (cum[n - levels])
+    # level i: q over its i lower partners (i - cum[i]), p over its n - i
+    # higher ones (cum[n - i], and cum[n - i] is cum reversed)
+    weights = (levels - cum) + cum[::-1]
     total = float(weights.sum())
-    probs = weights / total
-    return OptionDistribution(tuple(probs), tuple(weights), total)
+    return OptionDistribution(weights / total, weights, total)

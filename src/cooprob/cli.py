@@ -281,8 +281,8 @@ def _cmd_app_public_goods(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "p_star": apps.public_goods_p_star(k),
         "options": options,
-        "probabilities": list(dist.probabilities),
-        "weights": list(dist.weights),
+        "probabilities": dist.probabilities.tolist(),
+        "weights": dist.weights.tolist(),
         "total": dist.total,
     }
     return inputs, payload, []
@@ -299,8 +299,8 @@ def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "steps": steps,
         "v": spec.v,
-        "probabilities": list(dist.probabilities),
-        "weights": list(dist.weights),
+        "probabilities": dist.probabilities.tolist(),
+        "weights": dist.weights.tolist(),
         "total": dist.total,
     }
     if args.mean:
@@ -317,8 +317,8 @@ def _cmd_app_attrition(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "max_bid": max_bid,
         "mode": args.mode,
-        "probabilities": list(dist.probabilities),
-        "weights": list(dist.weights),
+        "probabilities": dist.probabilities.tolist(),
+        "weights": dist.weights.tolist(),
         "total": dist.total,
     }
     warnings = [ATTRITION_PAPER_NOTE] if args.mode == "paper" else []

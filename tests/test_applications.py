@@ -10,6 +10,8 @@ from cooprob import (
     DinerSpec,
     DomainError,
     GameTag,
+    InternalError,
+    OptionDistribution,
     PayoffTable2,
     PublicGoodsSpec,
     TravelerSpec,
@@ -33,6 +35,85 @@ from cooprob import (
     traveler_pij,
     traveler_table2,
 )
+
+
+def _loop_weights(p_by_gap, high_cooperates):
+    """Per-level pairwise sums by a Python loop over levels, with the prefix
+    sums taken in the same order as ``np.cumsum``: the tuple-era reference."""
+    n = len(p_by_gap)
+    cum = [0.0]
+    for p in p_by_gap:
+        cum.append(cum[-1] + p)
+    if high_cooperates:  # p from the i lower partners, q from the n - i higher
+        return [cum[i] + ((n - i) - cum[n - i]) for i in range(n + 1)]
+    return [(i - cum[i]) + cum[n - i] for i in range(n + 1)]
+
+
+def _assert_matches_loop(dist, weights, total):
+    assert dist.weights.tolist() == weights
+    assert dist.total == total
+    assert dist.probabilities.tolist() == [w / total for w in weights]
+
+
+# ------------------------------------------------------------ distribution
+
+
+def test_option_distribution_holds_read_only_float64_arrays():
+    dist = OptionDistribution((0.25, 0.75), (1, 3), 4.0)  # tuples still accepted
+    for arr in (dist.probabilities, dist.weights):
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == np.float64
+        assert arr.ndim == 1
+    assert dist.weights.tolist() == [1.0, 3.0]
+    with pytest.raises(ValueError):
+        dist.probabilities[0] = 0.5
+    with pytest.raises(ValueError):
+        dist.weights[0] = 2.0
+
+
+def test_option_distribution_copies_the_callers_arrays():
+    probs = np.array([0.5, 0.5])
+    weights = np.array([1.0, 1.0])
+    dist = OptionDistribution(probs, weights, 2.0)
+    assert probs.flags.writeable and weights.flags.writeable
+    assert not np.shares_memory(probs, dist.probabilities)
+    assert not np.shares_memory(weights, dist.weights)
+    probs[0] = 0.0
+    assert dist.probabilities[0] == 0.5
+
+
+@pytest.mark.parametrize(
+    "probs, weights, total",
+    [
+        ((0.5, 0.6), (1.0, 1.0), 2.0),  # off-sum
+        ((1.5, -0.5), (3.0, -1.0), 2.0),  # negative
+        ((float("nan"), 1.0), (1.0, 1.0), 2.0),
+        ((float("inf"), 0.0), (1.0, 1.0), 2.0),
+        ((0.5, 0.5), (1.0, float("inf")), 2.0),
+        ((0.5, 0.5), (1.0, 1.0), float("nan")),
+        ((0.5, 0.5), (1.0, 1.0, 0.0), 2.0),  # mismatched lengths
+        ([[0.5, 0.5]], [[1.0, 1.0]], 2.0),  # not 1-D
+    ],
+)
+def test_option_distribution_rejects_invalid_values(probs, weights, total):
+    with pytest.raises(InternalError):
+        OptionDistribution(probs, weights, total)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: attrition_distribution(AttritionSpec(x=1e308, max_bid=3)),
+        lambda: attrition_pij(AttritionSpec(x=1e308, max_bid=3), 1, 0),
+        lambda: traveler_distribution(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3)),
+        lambda: traveler_pij(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3), 1, 0),
+        lambda: traveler_mean(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3)),
+    ],
+)
+def test_payoff_scale_overflow_is_a_domain_error(build):
+    # these used to return all-NaN distributions that passed validation
+    with pytest.raises(DomainError, match="overflows float64"):
+        build()
 
 
 # ----------------------------------------------------------------- diner
@@ -158,6 +239,14 @@ def test_public_goods_distribution_exact_fractions():
         assert got == pytest.approx(num / 30.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k, options", [(1.5, 1), (1.2, 7), (1.9, 50)])
+def test_public_goods_distribution_matches_the_loop_reference(k, options):
+    spec = PublicGoodsSpec(r=100.0, k=k, options=options)
+    p_star = public_goods_p_star(k)
+    weights = [float(i) * p_star + (options - float(i)) * (1.0 - p_star) for i in range(options + 1)]
+    _assert_matches_loop(public_goods_distribution(spec), weights, options * (options + 1) / 2.0)
+
+
 # -------------------------------------------------------------- traveler
 
 
@@ -228,6 +317,21 @@ def test_traveler_large_case_endpoints():
     assert dist.total == pytest.approx(98 * 99 / 2.0)
     assert dist.probabilities[-1] == pytest.approx(0.020074616782364486, abs=1e-12)
     assert dist.probabilities[0] == pytest.approx(0.00012740341965571758, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TravelerSpec(r=5.0, s=3.0, t=3.0, steps=1),
+        TravelerSpec(r=100.0, s=2.0, t=2.0, steps=50),  # gap 1 dilemma, the rest coordinate
+        TravelerSpec(r=200.0, s=80.0, t=5.0, steps=40),
+        TravelerSpec(r=10.0, s=5.0, t=5.0, steps=50),  # 49 dilemma gaps
+    ],
+)
+def test_traveler_distribution_matches_the_loop_reference(spec):
+    n = spec.steps
+    weights = _loop_weights([traveler_pij(spec, d, 0) for d in range(1, n + 1)], True)
+    _assert_matches_loop(traveler_distribution(spec), weights, float(np.sum(weights)))
 
 
 def test_traveler_means():
@@ -336,6 +440,21 @@ def test_attrition_paper_mode_frozen_vector():
     )
     for got, want in zip(dist.probabilities, expected):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("x, max_bid", [(2.0, 1), (2.0, 50), (37.5, 33), (0.01, 20)])
+def test_attrition_distribution_matches_the_loop_reference(x, max_bid):
+    spec = AttritionSpec(x=x, max_bid=max_bid)
+    gaps = range(1, max_bid + 1)
+    # paper mode's closed form in scalar math, as it was before vectorising
+    scalar = [(-x / 2.0 + math.sqrt(x * x / 4.0 + 4.0 * d * d)) / (2.0 * d) for d in gaps]
+    assert [attrition_pij(spec, d, 0) for d in gaps] == scalar
+    weights = _loop_weights(scalar, False)
+    _assert_matches_loop(attrition_distribution(spec), weights, float(np.sum(weights)))
+    dispatch = _loop_weights([attrition_pij(spec, d, 0, mode="dispatch") for d in gaps], False)
+    _assert_matches_loop(
+        attrition_distribution(spec, mode="dispatch"), dispatch, float(np.sum(dispatch))
+    )
 
 
 def test_attrition_escalation_limit():

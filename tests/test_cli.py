@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from cooprob.cli import main
 
 CMD = [sys.executable, "-m", "cooprob"]
 
@@ -134,6 +137,19 @@ def test_app_commands():
     assert "mean_claim" in traveler["result"] or "mean" in traveler["result"]
 
 
+APP_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "app_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(APP_GOLDEN))
+def test_app_envelopes_are_byte_identical_to_the_golden_record(command, capsys):
+    # the record holds stdout of the tuple-based distributions; array-based
+    # ones must render the same bytes in every format
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == APP_GOLDEN[command]
+
+
 def test_attrition_mode_warning_presence():
     paper = run_json("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", "paper")
     assert any("uniform" in w for w in paper["warnings"])
@@ -223,12 +239,15 @@ def test_policy_flags_change_the_numeric_policy():
         ("app", "diner", "--r", "4", "--s", "3.5", "--u", "2", "--w", "1"),  # R_cb = 2 = n
         ("app", "public-goods", "--r", "100", "--k", "2.5", "--options", "4"),
         ("verify", "--file", "/nonexistent/tables.json"),
+        ("app", "attrition", "--x", "1e308", "--max-bid", "3"),  # x^2 overflows
+        ("app", "traveler", "--max", "1.7e308", "--min", "1e308", "--bonus", "1e308", "--steps", "3"),
     ],
 )
 def test_validation_failures_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.strip()
+    assert proc.stdout == ""
 
 
 def test_no_valid_root_exits_3():
