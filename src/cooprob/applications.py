@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, UndefinedPairError
-from .estimators import balanced_p
+from .estimators import _balanced_p_batch, balanced_p
 from .nplayer import balanced_p3, balanced_pn
 from .tables import (
     DEFAULT_POLICY,
@@ -457,6 +457,11 @@ def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.nda
     return _finite_by_delta(spec, p)
 
 
+def _check_attrition_mode(mode: str) -> None:
+    if mode not in ("paper", "dispatch"):
+        raise DomainError(f"mode must be 'paper' or 'dispatch', got {mode!r}")
+
+
 def attrition_pij(
     spec: AttritionSpec,
     i: int,
@@ -472,11 +477,10 @@ def attrition_pij(
     and take that family's root instead.
     """
     hi, lo = _level_pair(i, j, spec.max_bid, "bid")
+    _check_attrition_mode(mode)
     if mode == "paper":
         return float(_attrition_paper_by_delta(spec, np.array([float(hi - lo)]))[0])
-    if mode == "dispatch":
-        return balanced_p(attrition_table2(spec, i, j), policy).p
-    raise DomainError(f"mode must be 'paper' or 'dispatch', got {mode!r}")
+    return balanced_p(attrition_table2(spec, i, j), policy).p
 
 
 def attrition_distribution(
@@ -485,13 +489,19 @@ def attrition_distribution(
     """Distribution over bid levels 0..N by direct pairwise summation.
 
     Cooperation means the lower bid, so a level collects p-weight from
-    higher partners and q-weight from lower ones.
+    higher partners and q-weight from lower ones. ``dispatch`` mode solves
+    the gap tables ``attrition_table2(spec, d, 0)``, d = 1..N, in one call
+    of the batch form of :func:`balanced_p`, which gives every gap the same
+    bits (and the same errors) as :func:`attrition_pij` does.
     """
+    _check_attrition_mode(mode)
     n = spec.max_bid
+    deltas = np.arange(1, n + 1, dtype=float)
     if mode == "paper":
-        p = _attrition_paper_by_delta(spec, np.arange(1, n + 1, dtype=float))
+        p = _attrition_paper_by_delta(spec, deltas)
     else:
-        p = np.array([attrition_pij(spec, d, 0, mode, policy) for d in range(1, n + 1)])
+        x = spec.x
+        p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0, policy)
     cum = np.concatenate(([0.0], np.cumsum(p)))
     levels = np.arange(n + 1)
     # level i: q over its i lower partners (i - cum[i]), p over its n - i

@@ -27,7 +27,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AmbiguousRootError, DomainError, InternalError, NoValidRootError, UnsupportedClassError
+import numpy as np
+
+from .errors import (
+    AmbiguousRootError,
+    CooprobError,
+    DomainError,
+    InternalError,
+    NoValidRootError,
+    UnsupportedClassError,
+)
 from .tables import DEFAULT_POLICY, Estimate, GameClass, GameTag, NumericPolicy, PayoffTable2, classify2, payoff_scale
 
 __all__ = [
@@ -276,6 +285,10 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
     * Translators: p = 0 (cooperation never pays).
 
     Unclassified tables raise UnsupportedClassError.
+
+    ``_balanced_p_batch`` mirrors this function row by row over arrays of
+    payoffs, bit for bit and with the same errors; a change to any branch
+    here must be made there too.
     """
     cls = classify2(table)
     a, b, c, d = table.values()
@@ -333,6 +346,126 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
         return Estimate(0.0, 1.0, "balanced", cls, roots=(0.0,))
 
     raise UnsupportedClassError("balanced_p requires a classified table")
+
+
+# ------------------------------------------------- batch form of balanced_p
+#
+# Each helper below copies one piece of the scalar code above, with the same
+# operations in the same order, so that every row comes out bit for bit
+# equal. The per-class helpers return the rows' p and the mask of the rows
+# on which the scalar code raises.
+
+
+def _clamp_unit_batch(r):
+    """Row-wise ``min(1.0, max(0.0, r))``: the builtins keep their first
+    argument unless the second compares strictly beyond it, so NaN gives 0."""
+    m = np.where(r > 0.0, r, 0.0)
+    return np.where(m < 1.0, m, 1.0)
+
+
+def _stable_quadratic_roots_batch(qa, qb, qc):
+    """Row-wise :func:`_stable_quadratic_roots`: both roots, ascending, and
+    the mask of rows whose negative discriminant raises there."""
+    disc = qb * qb - 4.0 * qa * qc
+    s = np.sqrt(disc)
+    t = np.where(qb >= 0.0, -(qb + s) / 2.0, -(qb - s) / 2.0)
+    # t = 0 needs qc = 0, and no class's quadratic has that
+    r1 = t / qa
+    r2 = qc / t
+    ordered = r1 <= r2
+    return np.where(ordered, r1, r2), np.where(ordered, r2, r1), disc < 0.0
+
+
+def _select_unit_root_batch(lo, hi, eps_root):
+    """Row-wise :func:`_select_unit_root` on ascending root pairs: the root
+    it returns, and the mask of rows where it finds none or two."""
+    lo_in = (-eps_root <= lo) & (lo <= 1.0 + eps_root)
+    hi_in = (-eps_root <= hi) & (hi <= 1.0 + eps_root)
+    two = lo_in & hi_in & ~(np.abs(hi - lo) <= eps_root)
+    return _clamp_unit_batch(np.where(lo_in, lo, hi)), ~(lo_in | hi_in) | two
+
+
+def _prisoners_dilemma_batch(a, b, c, d, tol, eps_root):
+    k = a - b - c + d
+    no_root = _stable_quadratic_roots_batch(k, b - d, c - b)[2]
+    # ``(b - d) ** 2`` calls libm pow, which is not always (b - d) * (b - d);
+    # np.float_power calls the same pow
+    square = np.float_power(b - d, 2.0)
+    disc = square + 4.0 * (b - c) * k
+    quad = _clamp_unit_batch(2.0 * (b - c) / (np.sqrt(disc) + (b - d)))
+    # ``**`` raises OverflowError when a finite base's square overflows
+    fails = no_root | (np.isinf(square) & np.isfinite(b - d)) | (disc < 0.0)
+    linear = np.abs(k) <= tol
+    return np.where(linear, (b - c) / (a - c), quad), ~linear & fails
+
+
+def _chicken_batch(a, b, c, d, tol, eps_root):
+    k = a - b + c - d
+    lo, hi, no_root = _stable_quadratic_roots_batch(k, b + 2.0 * d - 3.0 * c, -(b + d - 2.0 * c))
+    quad, rejected = _select_unit_root_batch(lo, hi, eps_root)
+    linear = np.abs(k) <= tol
+    return np.where(linear, (a - c) / (2.0 * a - b - c), quad), ~linear & (no_root | rejected)
+
+
+def _battle_of_sexes_batch(a, b, c, d, tol, eps_root):
+    k = a - b + c - d
+    lo, hi, no_root = _stable_quadratic_roots_batch(k, 2.0 * d - b - c, c - d)
+    quad, rejected = _select_unit_root_batch(lo, hi, eps_root)
+    linear = np.abs(k) <= tol
+    return np.where(linear, (a - b) / (a + d - 2.0 * b), quad), ~linear & (no_root | rejected)
+
+
+def _stag_hunt_batch(a, b, c, d, tol, eps_root):
+    k = b - a - c + d
+    r2 = (c - b) / (-a + b - c + d)
+    p = np.where((b - c) / (a - d) >= 0.5, 1.0, _clamp_unit_batch(r2))
+    return np.where(np.abs(k) <= tol, 1.0, p), np.zeros(k.shape, dtype=bool)
+
+
+def _translators_batch(a, b, c, d, tol, eps_root):
+    return np.zeros(a.shape), np.zeros(a.shape, dtype=bool)
+
+
+def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """``balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]), policy).p`` for
+    every row i, bit for bit, computed with numpy.
+
+    The payoffs broadcast to one 1-D float64 array. When some row would make
+    the scalar path raise, the first such row goes through :func:`balanced_p`
+    and its error is raised with the row index in front of the message.
+    """
+    payoffs = np.array(np.broadcast_arrays(a, b, c, d), dtype=np.float64)
+    a, b, c, d = payoffs
+    p = np.zeros(a.shape)
+    fails = np.ones(a.shape, dtype=bool)  # until one of the classes claims the row
+    with np.errstate(all="ignore"):
+        # every class has a strict inequality, so a classified row's payoff
+        # scale is positive and coeff_tol is this product
+        tol = policy.eps_coeff * (payoffs.max(axis=0) - payoffs.min(axis=0))
+        # classify2's orderings are pairwise disjoint, so its precedence never decides
+        for order, solve in (
+            ((a > b) & (b > c) & (c >= d), _prisoners_dilemma_batch),
+            ((a > b) & (b > d) & (d > c), _chicken_batch),
+            ((a > d) & (d > c) & (c >= b), _battle_of_sexes_batch),
+            ((b > a) & (a >= c) & (c > d), _stag_hunt_batch),
+            ((a > c) & (c >= b) & (b > d), _translators_batch),
+        ):
+            rows = np.flatnonzero(order)
+            if rows.size:
+                p[rows], fails[rows] = solve(*payoffs[:, rows], tol[rows], policy.eps_root)
+    # PayoffTable2 refuses non-finite payoffs and Estimate a p outside [0, 1]
+    fails |= ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))
+    fails |= ~((0.0 <= p) & (p <= 1.0))
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        i = int(bad[0])
+        try:
+            balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]), policy)
+        except (CooprobError, OverflowError) as exc:
+            exc.args = (f"row {i}: {exc}",)
+            raise
+        raise InternalError(f"row {i}: the batch kernel refuses a table that balanced_p accepts")
+    return p
 
 
 def equiprobability(table: PayoffTable2) -> EquiprobabilityReport:

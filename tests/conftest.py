@@ -75,3 +75,24 @@ def sample_integer_chains(size: int, seed: int, top: int = 9) -> list[list[int]]
     """
     rng = np.random.default_rng(seed)
     return [np.sort(rng.integers(0, top + 1, 6))[::-1].tolist() for _ in range(size)]
+
+
+def sample_near_linear_tables(size: int, seed: int) -> np.ndarray:
+    """Rows (a, b, c, d): `size` PrisonersDilemma, Chicken and BattleOfSexes
+    tables each, whose quadratic coefficient k is 10^-e of a payoff gap, e
+    uniform in [0, 15].
+
+    Unlike the samplers above, this one aims at the degenerate linear forms:
+    its k falls on both sides of every coefficient tolerance. Rounding can
+    close a tiny gap and leave a row unclassified.
+    """
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-SPAN, 0.0, size)
+    span = rng.uniform(1.0, SPAN, size)
+    hi = lo + span
+    g = span / 3.0
+    t = g * 10.0 ** -rng.uniform(0.0, 15.0, size)
+    dilemma = (hi + g + t, hi, lo + g, lo)  # k = t
+    chicken = (hi + g, hi, lo, lo + g + t)  # k = -t
+    battle = (hi + t, lo, lo + t, hi)  # k = 2t
+    return np.concatenate([np.stack(cols, axis=1) for cols in (dilemma, chicken, battle)])

@@ -1,5 +1,6 @@
 """Applied multi-option games: mappings, closed forms, distributions."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from cooprob import (
     DomainError,
     GameTag,
     InternalError,
+    NumericPolicy,
     OptionDistribution,
     PayoffTable2,
     PublicGoodsSpec,
@@ -35,6 +37,8 @@ from cooprob import (
     traveler_pij,
     traveler_table2,
 )
+from cooprob import applications
+from cooprob.cli import main
 
 
 def _loop_weights(p_by_gap, high_cooperates):
@@ -395,10 +399,18 @@ def test_attrition_modes_agree_only_in_the_dilemma_window():
     assert attrition_pij(spec, 2, 0, mode="paper") != pytest.approx(0.75, abs=1e-6)
 
 
-def test_attrition_mode_validation():
+def test_attrition_mode_validation(monkeypatch):
     spec = AttritionSpec(x=2.0, max_bid=4)
     with pytest.raises(DomainError):
         attrition_pij(spec, 1, 0, mode="other")
+
+    def no_work(*args):
+        raise AssertionError("the mode is checked before any gap is solved")
+
+    monkeypatch.setattr(applications, "_attrition_paper_by_delta", no_work)
+    monkeypatch.setattr(applications, "_balanced_p_batch", no_work)
+    with pytest.raises(DomainError, match="mode must be 'paper' or 'dispatch', got 'other'"):
+        attrition_distribution(spec, mode="other")
 
 
 def test_attrition_distribution_structure():
@@ -455,6 +467,54 @@ def test_attrition_distribution_matches_the_loop_reference(x, max_bid):
     _assert_matches_loop(
         attrition_distribution(spec, mode="dispatch"), dispatch, float(np.sum(dispatch))
     )
+
+
+def _dispatch_reference(spec, policy=NumericPolicy()):
+    gaps = range(1, spec.max_bid + 1)
+    return _loop_weights([attrition_pij(spec, d, 0, "dispatch", policy) for d in gaps], False)
+
+
+@pytest.mark.parametrize("x, max_bid", [(8.0, 20), (1000.0, 2500)])
+def test_attrition_dispatch_across_the_class_seams_is_the_per_pair_reference(x, max_bid):
+    spec = AttritionSpec(x=x, max_bid=max_bid)
+    # gap x/2 makes c = d, the PrisonersDilemma boundary; gap x makes the
+    # Chicken quadratic coefficient x - gap vanish, so its linear form applies
+    boundary = classify2(attrition_table2(spec, int(x) // 2, 0))
+    assert boundary.tag is GameTag.PRISONERS_DILEMMA and boundary.boundary_flags == {"c=d"}
+    seam = balanced_p(attrition_table2(spec, int(x), 0))
+    assert seam.class_used.tag is GameTag.CHICKEN and seam.degenerate_branch
+    weights = _dispatch_reference(spec)
+    _assert_matches_loop(
+        attrition_distribution(spec, mode="dispatch"), weights, float(np.sum(weights))
+    )
+
+
+def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
+    spec = AttritionSpec(x=8.0, max_bid=20)
+    weights = _dispatch_reference(spec)
+
+    def per_pair(*args):
+        raise AssertionError("dispatch mode solved a gap with the scalar balanced_p")
+
+    monkeypatch.setattr(applications, "balanced_p", per_pair)
+    _assert_matches_loop(
+        attrition_distribution(spec, mode="dispatch"), weights, float(np.sum(weights))
+    )
+
+
+def test_attrition_dispatch_cli_policy_reaches_the_batch_solver(capsys):
+    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001: quadratic under
+    # the default tolerance, linear under --policy-eps 1e-3
+    args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
+    spec = AttritionSpec(x=8.001, max_bid=10)
+    rendered = [
+        [float(f"{w:.12g}") for w in _dispatch_reference(spec, policy)]
+        for policy in (NumericPolicy(eps_coeff=1e-3, eps_root=1e-3), NumericPolicy())
+    ]
+    assert rendered[0] != rendered[1]
+    for extra, want in zip((["--policy-eps", "1e-3"], []), rendered):
+        assert main(args + extra) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
 
 
 def test_attrition_escalation_limit():

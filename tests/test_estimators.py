@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cooprob import (
+    AmbiguousRootError,
     DomainError,
     GameTag,
+    InvalidTableError,
     Leaning,
+    NumericPolicy,
     PayoffTable2,
     Response,
     UnsupportedClassError,
@@ -22,6 +26,8 @@ from cooprob import (
     payoff_max_p,
     phi_chi,
 )
+from cooprob.estimators import _balanced_p_batch
+from conftest import sample_near_linear_tables
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -110,6 +116,76 @@ def test_balanced_p_translators_always_defect():
 def test_balanced_p_rejects_unclassified():
     with pytest.raises(UnsupportedClassError):
         balanced_p(PayoffTable2(1, 2, 3, 4))
+
+
+# ------------------------------------------------- batch form of balanced_p
+
+
+def _bits(values):
+    """float64 bit patterns, so that the sign of zero counts too."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "policy", [NumericPolicy(), NumericPolicy(eps_coeff=1e-3)], ids=["default", "eps_coeff=1e-3"]
+)
+def test_balanced_p_batch_is_bitwise_the_scalar_path(policy):
+    rng = np.random.default_rng(0)
+    draws = np.concatenate(
+        (
+            rng.uniform(-50.0, 50.0, (20_000, 4)),
+            rng.integers(0, 10, (20_000, 4)).astype(float),
+            sample_near_linear_tables(2_000, seed=1),  # BattleOfSexes has k > 0 otherwise
+            # a dilemma whose p changes when (b - d) ** 2, which is libm pow,
+            # is taken as (b - d) * (b - d)
+            [(-1.9657613724032075, -10.8602948087441, -27.733598811195282, -42.98531837610899)],
+        )
+    )
+    rows = [r for r in draws.tolist() if classify2(PayoffTable2(*r)).tag is not GameTag.UNCLASSIFIED]
+    ests = [balanced_p(PayoffTable2(*r), policy) for r in rows]
+    got = _balanced_p_batch(*np.array(rows).T, policy)
+    assert np.array_equal(_bits(got), _bits([e.p for e in ests]))
+    tags = {e.class_used.tag for e in ests}
+    assert tags == set(GameTag) - {GameTag.UNCLASSIFIED}
+    linear = {e.class_used.tag for e in ests if e.degenerate_branch}
+    assert {GameTag.PRISONERS_DILEMMA, GameTag.CHICKEN, GameTag.BATTLE_OF_SEXES} <= linear
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        ((1.0, 2.0, 3.0, 4.0), UnsupportedClassError),
+        ((math.inf, 8.0, 5.0, 2.0), InvalidTableError),  # classifies as a dilemma
+        ((1e300, 1e200, 0.0, -1e200), OverflowError),  # from (b - d) ** 2
+        ((1e308, 0.0, -1e308, -1.0), DomainError),  # the linear form gives inf / inf
+    ],
+)
+def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refused, error):
+    with pytest.raises(error):
+        balanced_p(PayoffTable2(*refused))
+    rows = np.array([(9.0, 8.0, 5.0, 2.0), refused, (1.0, 2.0, 3.0, 5.0)])
+    with pytest.raises(error, match=r"^row 1: "):
+        _balanced_p_batch(*rows.T)
+
+
+def test_balanced_p_batch_raises_the_scalar_ambiguity():
+    # a root at -9.906 counts as in [0, 1] under eps_root = 10, and it lies
+    # more than 10 from the other root at 0.656
+    wide = NumericPolicy(eps_root=10.0)
+    chicken = (14.0, -1.0, -16.0, -5.0)
+    with pytest.raises(AmbiguousRootError) as scalar:
+        balanced_p(PayoffTable2(*chicken), wide)
+    rows = np.array([(9, 8, 5, 2), chicken])
+    with pytest.raises(AmbiguousRootError, match=r"^row 1: ") as batch:
+        _balanced_p_batch(*rows.T, wide)
+    assert batch.value.candidates == scalar.value.candidates
+    # roots exactly eps_root apart count as one, the lower one, clamped to 0
+    lo, hi = scalar.value.candidates
+    touching = NumericPolicy(eps_root=abs(hi - lo))
+    assert balanced_p(PayoffTable2(*chicken), touching).p == 0.0
+    assert _balanced_p_batch(*rows.T, touching).tolist() == [
+        balanced_p(PayoffTable2(*row), touching).p for row in rows.tolist()
+    ]
 
 
 # -------------------------------------------------------------- baselines

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from cooprob import (
     AsymmetricTable2,
     AttritionSpec,
+    CooprobError,
     GameTag,
+    NumericPolicy,
     PayoffTable2,
     PublicGoodsSpec,
     TravelerSpec,
@@ -30,6 +32,7 @@ from cooprob import (
     public_goods_distribution,
     traveler_distribution,
 )
+from cooprob.estimators import _balanced_p_batch
 from conftest import CLASS_PATTERNS
 
 CLASS_TAGS = sorted(CLASS_PATTERNS, key=lambda t: t.value)
@@ -112,6 +115,33 @@ def test_dilemma_sign_test_matches_the_estimate(quad):
     t = PayoffTable2(a, b, c, d)
     assert (balanced_p(t).p > 0.5) == (gap > 0.0)
     assert (equiprobability(t).gap > 0.0) == (gap > 0.0)
+
+
+# small integers give ties on class boundaries; huge floats overflow
+payoffs = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-100.0, 100.0),
+    st.floats(-1e300, 1e300),
+)
+
+
+@given(
+    row=st.tuples(payoffs, payoffs, payoffs, payoffs),
+    eps_coeff=st.sampled_from([1e-12, 1e-3, 0.0]),
+    eps_root=st.sampled_from([1e-9, 10.0, 0.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_balanced_p_batch_matches_the_scalar_path_or_its_error(row, eps_coeff, eps_root):
+    policy = NumericPolicy(eps_coeff=eps_coeff, eps_root=eps_root)
+    try:
+        want = balanced_p(PayoffTable2(*row), policy).p
+    except (CooprobError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _balanced_p_batch(*np.array([row]).T, policy)
+        assert got.type is type(exc)
+        return
+    got = _balanced_p_batch(*np.array([row]).T, policy)
+    assert got.view(np.uint64).tolist() == [np.float64(want).view(np.uint64)]
 
 
 @given(quad=strict_quads())
