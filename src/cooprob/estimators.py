@@ -301,7 +301,10 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
             p = (b - c) / (a - c)
             return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
         roots = _stable_quadratic_roots(k, b - d, c - b)
-        disc = (b - d) ** 2 + 4.0 * (b - c) * k
+        try:
+            disc = (b - d) ** 2 + 4.0 * (b - c) * k
+        except OverflowError:
+            raise DomainError(f"(b - d)^2 overflows float64 at b - d = {b - d!r}") from None
         if disc < 0.0:
             raise InternalError("dilemma balance discriminant negative; classification bug")
         # positive branch: p = (d - b + sqrt(disc)) / (2 k), evaluated via the
@@ -393,7 +396,7 @@ def _prisoners_dilemma_batch(a, b, c, d, tol, eps_root):
     square = np.float_power(b - d, 2.0)
     disc = square + 4.0 * (b - c) * k
     quad = _clamp_unit_batch(2.0 * (b - c) / (np.sqrt(disc) + (b - d)))
-    # ``**`` raises OverflowError when a finite base's square overflows
+    # balanced_p refuses a finite base whose square overflows
     fails = no_root | (np.isinf(square) & np.isfinite(b - d)) | (disc < 0.0)
     linear = np.abs(k) <= tol
     return np.where(linear, (b - c) / (a - c), quad), ~linear & fails
@@ -441,7 +444,8 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     with np.errstate(all="ignore"):
         # every class has a strict inequality, so a classified row's payoff
         # scale is positive and coeff_tol is this product
-        tol = policy.eps_coeff * (payoffs.max(axis=0) - payoffs.min(axis=0))
+        scale = payoffs.max(axis=0) - payoffs.min(axis=0)
+        tol = policy.eps_coeff * scale
         # classify2's orderings are pairwise disjoint, so its precedence never decides
         for order, solve in (
             ((a > b) & (b > c) & (c >= d), _prisoners_dilemma_batch),
@@ -453,15 +457,16 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
             rows = np.flatnonzero(order)
             if rows.size:
                 p[rows], fails[rows] = solve(*payoffs[:, rows], tol[rows], policy.eps_root)
-    # PayoffTable2 refuses non-finite payoffs and Estimate a p outside [0, 1]
+    # PayoffTable2 refuses non-finite payoffs, coeff_tol an infinite payoff
+    # scale and Estimate a p outside [0, 1]
     fails |= ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))
-    fails |= ~((0.0 <= p) & (p <= 1.0))
+    fails |= np.isinf(scale) | ~((0.0 <= p) & (p <= 1.0))
     bad = np.flatnonzero(fails)
     if bad.size:
         i = int(bad[0])
         try:
             balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]), policy)
-        except (CooprobError, OverflowError) as exc:
+        except CooprobError as exc:
             exc.args = (f"row {i}: {exc}",)
             raise
         raise InternalError(f"row {i}: the batch kernel refuses a table that balanced_p accepts")

@@ -1,13 +1,12 @@
 """Solvers beyond the symmetric two-player case.
 
-Three-player tables and n-player dilemma ladders share one ladder solver:
-psi and omega in Bernstein form, with the ladder gaps as coefficients, the
-balance roots in [0, 1] isolated by subdivision and refined by a port of
-Brent's method, and one root rule. The two-sided (asymmetric) game couples
-p_x (p_y K_x + (b_x - d_x)) = F_x and p_y (p_x K_y + (b_y - d_y)) = F_y,
-with K = a - b - c + d and F = b - c per side, eliminated into one
-quadratic per side; the pair with the smallest residual wins, checked
-against the alternating-iteration oracle.
+Every dilemma solver here goes through one balance core: psi and omega in
+Bernstein form, the roots of the balance polynomial in [0, 1] isolated by
+subdivision and refined by a port of Brent's method, and one root rule.
+Three-player tables and n-player ladders hand it the ladder gaps. The
+two-sided (asymmetric) game hands it, per side, that side's map composed
+with the other side's, whose weights are affine in p; each side's
+eliminated quadratic only fills the reported roots.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from .errors import (
     NoValidRootError,
     UnsupportedClassError,
 )
-from .estimators import EquiprobabilityReport, Leaning
-from .iteration import _fixed_point, iterate_asym
+from .estimators import EquiprobabilityReport, Leaning, _stable_quadratic_roots
+from .iteration import _fixed_point
 from .tables import (
     DEFAULT_POLICY,
     AsymmetricTable2,
@@ -79,6 +78,8 @@ def _real_roots(desc_coeffs: list[float], eps_root: float) -> list[float]:
     """Real roots of a polynomial given by descending coefficients."""
     if len(desc_coeffs) <= 1:
         return []
+    if not all(map(math.isfinite, desc_coeffs)):
+        raise DomainError("balance polynomial coefficients overflow float64")
     roots = np.roots(desc_coeffs).tolist()
     scale = max(map(abs, roots), default=1.0)
     return sorted(r.real for r in roots if abs(r.imag) <= eps_root * max(1.0, scale))
@@ -136,28 +137,21 @@ def expected_payoff3(table: PayoffTable3, p: float) -> float:
     return p**3 * g + q**3 * k + p * p * q * (f + 2.0 * j) + p * q * q * (2.0 * h + m)
 
 
-def _side_quadratic(kx, fx, bdx, ky, fy, bdy) -> tuple[float, float, float]:
-    """Quadratic in this side's p after eliminating the other side.
-
-    Descending coefficients of
-    p^2 (b-d) K' + p [K F' - K' F + (b-d)(b'-d')] - F (b'-d') = 0,
-    primes marking the other side.
-    """
-    return (bdx * ky, kx * fy - ky * fx + bdx * bdy, -fx * bdy)
-
-
-def _quad_roots_in_unit(qcoeffs, tol, eps_root):
-    """Real roots (all) and unit-interval candidates of a side quadratic."""
-    desc = list(qcoeffs)
-    degenerate = False
-    while len(desc) > 1 and abs(desc[0]) <= tol:
-        desc.pop(0)
-        degenerate = True
-    if all(abs(x) <= tol for x in desc):
+def _side_roots(own, other, tol: float) -> tuple[tuple[float, ...], bool]:
+    """Real roots, ascending, of the side quadratic in one side's p, primes
+    marking the other side: p^2 (b-d) K' + p [K F' - K' F + (b-d)(b'-d')] - F (b'-d'),
+    and whether K' is at most tol in magnitude, leaving the linear form."""
+    (a, b, c, d), (a2, b2, c2, d2) = own, other
+    k, f, bd, k2, f2, bd2 = a - b - c + d, b - c, b - d, a2 - b2 - c2 + d2, b2 - c2, b2 - d2
+    qa, qb, qc = bd * k2, k * f2 - k2 * f + bd * bd2, -f * bd2
+    # scaling by a power of two is exact and keeps the squares in the root formula in range
+    e = math.frexp(max(abs(qa), abs(qb), abs(qc)))[1]
+    qa, qb, qc = math.ldexp(qa, -e), math.ldexp(qb, -e), math.ldexp(qc, -e)
+    if abs(k2) > tol and qa != 0.0:
+        return _stable_quadratic_roots(qa, qb, qc), False
+    if qb == 0.0:
         raise DegenerateWeightsError("side balance polynomial vanished identically")
-    roots = _real_roots(desc, eps_root)
-    inside = [min(1.0, max(0.0, r)) for r in roots if -eps_root <= r <= 1.0 + eps_root]
-    return roots, inside, degenerate
+    return (-qc / qb,), True
 
 
 def balanced_p_asym(
@@ -166,75 +160,33 @@ def balanced_p_asym(
     """Coupled balanced probabilities (p_x, p_y) for a two-sided dilemma.
 
     Both sides must classify PrisonersDilemma (boundary flags permitted).
-    Each side's eliminated quadratic is solved; partner values follow from
-    the coupling relation, the pair with the smallest joint residual wins,
-    and the answer must agree with the alternating-iteration oracle within
-    1e-9, otherwise any candidate pair that does agree is taken instead.
+    Each side's p is the balance root of its map p' -> F / (F + chi(p'))
+    composed with the other side's, F = b - c. With primes marking the other
+    side, the weights psi = F (F' + chi'(p)) and omega = F' (a - b) + chi'(p) (c - d)
+    are affine in p and nonnegative. The root rule is that of :func:`balanced_p3`;
+    a composed Moebius map has at most one attracting fixed point, so no
+    iteration runs. ``roots`` lists every real root of each side's eliminated quadratic.
     """
-    cls_x = classify2(table.side_x())
-    cls_y = classify2(table.side_y())
-    if cls_x.tag is not GameTag.PRISONERS_DILEMMA or cls_y.tag is not GameTag.PRISONERS_DILEMMA:
+    sides = table.side_x(), table.side_y()
+    classes = [classify2(side) for side in sides]
+    if any(cls.tag is not GameTag.PRISONERS_DILEMMA for cls in classes):
         raise UnsupportedClassError("both sides must classify PrisonersDilemma")
-    ax, bx, cx, dx = table.side_x().values()
-    ay, by, cy, dy = table.side_y().values()
-    kx, fx, bdx = ax - bx - cx + dx, bx - cx, bx - dx
-    ky, fy, bdy = ay - by - cy + dy, by - cy, by - dy
-    scale = payoff_scale((ax, bx, cx, dx, ay, by, cy, dy))
+    x, y = (side.values() for side in sides)
+    scale = payoff_scale(x + y)
     tol = policy.coeff_tol(scale)
-
-    qx = _side_quadratic(kx, fx, bdx, ky, fy, bdy)
-    qy = _side_quadratic(ky, fy, bdy, kx, fx, bdx)
-    roots_x, inside_x, degen_x = _quad_roots_in_unit(qx, tol, policy.eps_root)
-    roots_y, inside_y, degen_y = _quad_roots_in_unit(qy, tol, policy.eps_root)
-
-    def partner_y(px: float) -> float:
-        den = px * ky + bdy
-        if den == 0.0:
-            raise DegenerateWeightsError("side-y weights vanished at candidate p_x")
-        return fy / den
-
-    def partner_x(py: float) -> float:
-        den = py * kx + bdx
-        if den == 0.0:
-            raise DegenerateWeightsError("side-x weights vanished at candidate p_y")
-        return fx / den
-
-    def residual(px: float, py: float) -> float:
-        r1 = px * (py * kx + bdx) - fx
-        r2 = py * (px * ky + bdy) - fy
-        return abs(r1) + abs(r2)
-
-    pairs: list[tuple[float, float]] = []
-    for rx in inside_x:
-        py = partner_y(rx)
-        if -policy.eps_root <= py <= 1.0 + policy.eps_root:
-            pairs.append((rx, min(1.0, max(0.0, py))))
-    for ry in inside_y:
-        px = partner_x(ry)
-        if -policy.eps_root <= px <= 1.0 + policy.eps_root:
-            pairs.append((min(1.0, max(0.0, px)), ry))
-    if not pairs:
-        raise NoValidRootError("no consistent pair in the unit square")
-
-    pairs.sort(key=lambda pr: residual(*pr))
-    best = pairs[0]
-    trace = iterate_asym(table, 0.5, policy)
-    if trace.converged:
-        ox, oy = trace.limit
-        agree = max(policy.eps_root, 1e-9)
-        if not (abs(best[0] - ox) <= agree and abs(best[1] - oy) <= agree):
-            matching = [
-                pr for pr in pairs if abs(pr[0] - ox) <= agree and abs(pr[1] - oy) <= agree
-            ]
-            if not matching:
-                raise NoValidRootError(
-                    f"no candidate pair agrees with the iteration limit ({ox!r}, {oy!r})"
-                )
-            best = matching[0]
-    px, py = best
-    est_x = Estimate(px, 1.0 - px, "balanced", cls_x, roots=tuple(roots_x), degenerate_branch=degen_x)
-    est_y = Estimate(py, 1.0 - py, "balanced", cls_y, roots=tuple(roots_y), degenerate_branch=degen_y)
-    return est_x, est_y
+    # scaling by a power of two is exact, so no bit of p changes, and products of gaps stay in range
+    e = math.frexp(scale)[1]
+    x, y = tuple(math.ldexp(v, -e) for v in x), tuple(math.ldexp(v, -e) for v in y)
+    estimates = []
+    for own, other, cls in ((x, y, classes[0]), (y, x, classes[1])):
+        (a, b, c, d), (a2, b2, c2, d2) = own, other
+        # F' + chi' is b' - d' at p = 0 and a' - c' at p = 1
+        f, fab, cd = b - c, (b2 - c2) * (a - b), c - d
+        wpsi, womega = [f * (b2 - d2), f * (a2 - c2)], [fab + (c2 - d2) * cd, fab + (a2 - b2) * cd]
+        p = _balance_root(wpsi, womega, policy)[0]
+        roots, degenerate = _side_roots(own, other, math.ldexp(tol, -e))
+        estimates.append(Estimate(p, 1.0 - p, "balanced", cls, roots=roots, degenerate_branch=degenerate))
+    return estimates[0], estimates[1]
 
 
 def _validate_ladder(ladder, n: int | None) -> list[float]:
@@ -288,14 +240,17 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C an inf or nan step, which fails the test below
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry
@@ -399,20 +354,21 @@ def _halves(b: list[float]) -> tuple[list[float], list[float]]:
     return left, right[::-1]
 
 
-def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
-    """Balanced p of a weakly decreasing dilemma ladder, and every root of
+def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+    """Balanced p of weights psi and omega, and every root of
     h = p omega - q psi in [0, 1].
 
-    A zero at the same end of the weighted coefficients of psi and omega is
-    a common factor p or q; dropping it leaves psi + omega > 0 on [0, 1].
-    With t = p / q, h = q^n sum_k H_k t^k, H_k = W_{k-1} - S_k - S_{k-1}.
-    Halving [0, 1] by de Casteljau isolates the roots: a piece whose
-    coefficients change sign once holds one, found by Brent's method; an
-    exact zero at 0, 1 or a split point is one. The choice among the roots
-    follows the root rule stated under :func:`balanced_p3`.
+    psi and omega come as weighted Bernstein coefficients C(m, k) b_k of one
+    degree m, all nonnegative. A zero at the same end of both lists is a
+    common factor p or q; dropping it leaves psi + omega > 0 on [0, 1]. With
+    t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k. Halving
+    [0, 1] by de Casteljau isolates the roots: a piece whose coefficients
+    change sign once holds one, found by Brent's method; an exact zero at 0,
+    1 or a split point is one. The choice among the roots follows the root
+    rule stated under :func:`balanced_p3`.
     """
-    bpsi, bomega = _ladder_bernstein(vals)
-    wpsi, womega = _weighted(bpsi), _weighted(bomega)
+    if not all(map(math.isfinite, wpsi + womega)):
+        raise DomainError("balance weights overflow float64")
     if not any(wpsi) and not any(womega):
         raise DegenerateWeightsError("balance polynomial vanished identically")
     while wpsi and wpsi[0] == womega[0] == 0.0:
@@ -428,7 +384,7 @@ def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[
         return p * o - (1.0 - p) * s
 
     deg = len(womega)
-    hw = [w - s - r for w, s, r in zip([0.0] + womega, wpsi + [0.0, 0.0], [0.0] + wpsi + [0.0])]
+    hw = [w - s for w, s in zip([0.0] + womega, wpsi + [0.0])]
     roots: list[float] = []
 
     def isolate(b: list[float], lo: float, hi: float) -> None:
@@ -472,6 +428,14 @@ def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[
     raise AmbiguousRootError(
         f"no single attracting root among the balance roots {roots!r} in [0, 1]", tuple(roots)
     )
+
+
+def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+    """:func:`_balance_root` of a weakly decreasing dilemma ladder, psi raised
+    to omega's degree by the factor p + q = 1: S'_k = S_k + S_{k-1}."""
+    bpsi, bomega = _ladder_bernstein(vals)
+    wpsi = _weighted(bpsi)
+    return _balance_root([s + r for s, r in zip(wpsi + [0.0], [0.0] + wpsi)], _weighted(bomega), policy)
 
 
 def balanced_pn(

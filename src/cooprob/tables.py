@@ -205,6 +205,8 @@ class NumericPolicy:
 
     def coeff_tol(self, scale: float) -> float:
         """Absolute zero-threshold for coefficients at the given payoff scale."""
+        if not math.isfinite(scale):
+            raise DomainError(f"payoff scale {scale!r} (max - min) overflows float64")
         return self.eps_coeff * scale if scale > 0 else self.eps_coeff
 
 

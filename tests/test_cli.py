@@ -250,6 +250,24 @@ def test_validation_failures_exit_2(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("estimate", "--table", "1e300,1e200,0,-1e200"),  # (b - d)^2
+        ("estimate", "--table", "1e308,0,-1e308,-1"),  # payoff scale
+        ("estimate3", "--table", "1.7e308,1e308,0,-1e308,-1.5e308,-1.7e308"),  # ladder weights
+        ("estimate3", "--table", "1e308,0.95e308,0.95e308,0.9e308,0,0"),  # cubic coefficients
+        ("asym", "--table", "1e308,0,-1e308,-1.7e308,9,8,5,2"),  # payoff scale
+    ],
+)
+def test_float64_overflow_exits_2_without_a_traceback(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_no_valid_root_exits_3():
     proc = run_cli("estimate3", "--table", "1,1,1,1,1,1")
     assert proc.returncode == 3

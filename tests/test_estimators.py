@@ -156,8 +156,9 @@ def test_balanced_p_batch_is_bitwise_the_scalar_path(policy):
     [
         ((1.0, 2.0, 3.0, 4.0), UnsupportedClassError),
         ((math.inf, 8.0, 5.0, 2.0), InvalidTableError),  # classifies as a dilemma
-        ((1e300, 1e200, 0.0, -1e200), OverflowError),  # from (b - d) ** 2
-        ((1e308, 0.0, -1e308, -1.0), DomainError),  # the linear form gives inf / inf
+        ((1e300, 1e200, 0.0, -1e200), DomainError),  # (b - d) ** 2 overflows
+        ((1e308, 0.0, -1e308, -1.0), DomainError),  # the payoff scale overflows
+        ((1e308, 5e307, -5e307, -1e308), DomainError),  # the same, though k = 0 gives p = 2/3
     ],
 )
 def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refused, error):
@@ -166,6 +167,19 @@ def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refus
     rows = np.array([(9.0, 8.0, 5.0, 2.0), refused, (1.0, 2.0, 3.0, 5.0)])
     with pytest.raises(error, match=r"^row 1: "):
         _balanced_p_batch(*rows.T)
+
+
+@pytest.mark.parametrize(
+    "values, what",
+    [
+        ((1e300, 1e200, 0.0, -1e200), r"\(b - d\)\^2"),
+        ((1e308, 0.0, -1e308, -1.0), "payoff scale"),
+        ((1e308, 5e307, -5e307, -1e308), "payoff scale"),
+    ],
+)
+def test_balanced_p_names_the_float64_overflow(values, what):
+    with pytest.raises(DomainError, match=f"^{what} .*overflows float64"):
+        balanced_p(PayoffTable2(*values))
 
 
 def test_balanced_p_batch_raises_the_scalar_ambiguity():

@@ -35,6 +35,7 @@ from cooprob import (
     equiprobability3,
     expected_payoff3,
     iterate_asym,
+    iteration,
     nplayer,
     psi_omega_coeffs,
 )
@@ -211,6 +212,109 @@ def test_asym_requires_dilemma_sides():
         balanced_p_asym(AsymmetricTable2(4, 3, 0, 1, 9, 8, 5, 2))
 
 
+@functools.cache
+def _two_sided_draws() -> tuple[AsymmetricTable2, ...]:
+    """2000 tables whose sides are sorted uniform(0, 10) draws, then 2000
+    dilemma tables whose sides are sorted integers 0..9, ties kept."""
+    rng = np.random.default_rng(4)
+    sides = [np.sort(rng.uniform(0, 10, 4))[::-1].tolist() for _ in range(4000)]
+    tables = [AsymmetricTable2(*x, *y) for x, y in zip(sides[::2], sides[1::2])]
+    rng = np.random.default_rng(6)
+    while len(tables) < 4000:
+        x, y = (np.sort(rng.integers(0, 10, 4))[::-1].astype(float).tolist() for _ in range(2))
+        if x[0] > x[1] > x[2] and y[0] > y[1] > y[2]:
+            tables.append(AsymmetricTable2(*x, *y))
+    return tuple(tables)
+
+
+def test_asym_matches_the_alternating_iteration_on_random_tables():
+    for table in _two_sided_draws():
+        ex, ey = balanced_p_asym(table)
+        trace = iterate_asym(table)
+        assert trace.converged
+        assert ex.p == pytest.approx(trace.limit[0], abs=1e-9)
+        assert ey.p == pytest.approx(trace.limit[1], abs=1e-9)
+        ax, bx, cx, dx = table.side_x().values()
+        ay, by, cy, dy = table.side_y().values()
+        scale = max(ax, ay) - min(dx, dy)
+        assert abs(ex.p * (ey.p * (ax - bx - cx + dx) + bx - dx) - (bx - cx)) <= 1e-12 * scale
+        assert abs(ey.p * (ex.p * (ay - by - cy + dy) + by - dy) - (by - cy)) <= 1e-12 * scale
+
+
+def test_asym_reports_the_real_roots_of_each_side_quadratic():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        # every fourth draw: the 40-digit root finder takes about 1 ms a quadratic
+        for table in _two_sided_draws()[::4]:
+            x, y = table.side_x().values(), table.side_y().values()
+            tol = 1e-12 * (max(x + y) - min(x + y))
+            for est, (a, b, c, d), (a2, b2, c2, d2) in zip(balanced_p_asym(table), (x, y), (y, x)):
+                a, b, c, d, a2, b2, c2, d2 = map(mp.mpf, (a, b, c, d, a2, b2, c2, d2))
+                k, k2 = a - b - c + d, a2 - b2 - c2 + d2
+                quad = [(b - d) * k2, k * (b2 - c2) - k2 * (b - c) + (b - d) * (b2 - d2), -(b - c) * (b2 - d2)]
+                if abs(k2) <= tol:
+                    quad.pop(0)
+                want = sorted(mp.re(r) for r in mp.polyroots(quad, maxsteps=50, extraprec=30) if abs(mp.im(r)) <= 1e-30)
+                assert est.degenerate_branch == (len(quad) == 2)
+                assert len(est.roots) == len(want)
+                assert list(est.roots) == sorted(est.roots)
+                for got, ref in zip(est.roots, want):
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_asym_runs_no_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the fixed-point oracle ran")
+
+    monkeypatch.setattr(iteration, "_fixed_point", no_oracle)
+    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    for table in _two_sided_draws():
+        ex, ey = balanced_p_asym(table)
+        assert 0.0 < ex.p < 1.0 and 0.0 < ey.p < 1.0
+
+
+def test_asym_of_a_tiny_cooperation_gain_keeps_its_side_roots():
+    # b - c = 2^-126: every side coefficient is below eps_coeff * scale, which
+    # once dropped them all; the test of K' keeps the quadratic
+    t = (1.0, 2.0**-126, 0.0, 0.0)
+    sym = balanced_p(PayoffTable2(*t))
+    for est in balanced_p_asym(AsymmetricTable2(*t, *t)):
+        assert est.p == pytest.approx(sym.p, abs=1e-15)
+        assert not est.degenerate_branch
+        assert est.roots == pytest.approx(sym.roots, rel=1e-15)
+
+
+def test_asym_refuses_a_payoff_scale_past_float64():
+    with pytest.raises(DomainError, match="^payoff scale inf .*overflows float64"):
+        balanced_p_asym(AsymmetricTable2(1e308, 0, -1e308, -1.7e308, 9, 8, 5, 2))
+
+
+def test_asym_products_of_gaps_stay_in_float64_range():
+    # unscaled, the products of gaps overflow: F_y (b_x - d_x) = 4e599 here,
+    # and the side-x quadratic's leading coefficient (b_x - d_x) K_y = 1e400 below
+    ex, ey = balanced_p_asym(AsymmetricTable2(1e300, 5e299, 1e299, 0, 1e300, 5e299, 1e299, 0))
+    assert ex.p == ey.p == pytest.approx(balanced_p(PayoffTable2(10, 5, 1, 0)).p, abs=1e-15)
+    table = AsymmetricTable2(4, 3, 2, -1e200, 1e200, 3, 2, 1)
+    ex, ey = balanced_p_asym(table)
+    ox, oy = iterate_asym(table).limit
+    assert ex.p == pytest.approx(ox, abs=1e-15) and ey.p == pytest.approx(oy, abs=1e-12)
+    # side y: -2e200 p^2 + 4e200 p - 1e200, roots 1 -+ sqrt(1/2)
+    assert ey.roots == pytest.approx((1 - math.sqrt(0.5), 1 + math.sqrt(0.5)), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "values, what",
+    [
+        ((1.7e308, 1e308, 0, -1e308, -1.5e308, -1.7e308), "balance weights"),
+        # finite ladder weights, but 2 h and 2 j in the cubic overflow
+        ((1e308, 0.95e308, 0.95e308, 0.9e308, 0, 0), "balance polynomial coefficients"),
+    ],
+)
+def test_balanced_p3_refuses_float64_overflow(values, what):
+    with pytest.raises(DomainError, match=f"^{what} overflows? float64"):
+        balanced_p3(PayoffTable3(*values))
+
+
 # ----------------------------------------------------------------- ladders
 
 
@@ -340,6 +444,20 @@ def test_brentq_port_is_bitwise_scipy():
         ours = nplayer.brentq(h, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
         theirs = optimize.brentq(h, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
         assert ours.hex() == float(theirs).hex()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-310])
+@pytest.mark.parametrize("root", [1e-3, 0.3, 0.999])
+def test_brentq_port_is_bitwise_scipy_where_its_divisors_underflow(scale, root):
+    # the extrapolation divisor is a product of three differences of f values,
+    # which underflows to 0 here; scipy's C code then takes inf or nan and bisects
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return scale * (x - root) * (1.0 + x * x)
+
+    ours = nplayer.brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    assert ours.hex() == float(optimize.brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)).hex()
 
 
 def test_brentq_port_failures_are_typed():

@@ -165,6 +165,27 @@ def test_asym_on_symmetric_input_matches_symmetric_solver(quad):
     assert ey.p == pytest.approx(sym, abs=1e-12)
 
 
+@st.composite
+def tied_dilemma_quads(draw):
+    """a > b > c >= d from small integers or floats up to 1e3, ties c = d
+    included, unlike strict_quads. Gaps of at least 1e-3 keep balanced_p away
+    from a - b -> 0, where its root nears a double root at 1 and loses digits."""
+    gap = st.one_of(st.integers(1, 9).map(float), st.floats(1e-3, 1e3))
+    d = draw(st.one_of(st.integers(-9, 9).map(float), st.floats(-1e3, 1e3)))
+    c = d + draw(st.one_of(st.just(0.0), gap))
+    b = c + draw(gap)
+    return b + draw(gap), b, c, d
+
+
+@given(quad=tied_dilemma_quads())
+@settings(max_examples=300, deadline=None)
+def test_asym_of_a_table_against_itself_is_the_symmetric_balance(quad):
+    sym = balanced_p(PayoffTable2(*quad)).p
+    ex, ey = balanced_p_asym(AsymmetricTable2(*quad, *quad))
+    assert ex.p == pytest.approx(sym, abs=1e-12)
+    assert ey.p == pytest.approx(sym, abs=1e-12)
+
+
 @given(
     k=st.floats(1.01, 1.99),
     options=st.integers(1, 40),
