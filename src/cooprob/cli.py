@@ -106,6 +106,39 @@ def _rounded(obj):
     return _round12(obj)
 
 
+# the exponents for which repr prints fixed notation but .12g does not
+_FIXED_IN_REPR = ("e+12", "e+13", "e+14", "e+15")
+
+
+def _float_reprs(values: list[float]) -> list[str]:
+    """``repr(_round12(v))`` for each float in ``values``, formatted in bulk.
+
+    ``.12g`` already prints that repr except where repr adds ".0" (no point
+    and no exponent), prints fixed notation (exponents 12 to 15) or prints
+    fewer digits (subnormals, whose exponents all start with e-3). Strings
+    that may be one of these go through ``repr(float(s))``.
+    """
+    return [
+        s if "e" not in s and "." in s or "e" in s and s[-4:] not in _FIXED_IN_REPR and "e-3" not in s
+        else repr(float(s))
+        for s in map("{:.12g}".format, values)
+    ]
+
+
+class _Numbers:
+    """An array of floats, rounded and rendered once, one string per value.
+
+    The renderers write these strings as they stand instead of visiting
+    each value. JSON does so too, so the values must be finite, as they are
+    in every ``OptionDistribution``.
+    """
+
+    __slots__ = ("strs",)
+
+    def __init__(self, values: list[float]):
+        self.strs = _float_reprs(values)
+
+
 def _class_payload(game_class) -> dict:
     return {
         "class": game_class.tag.value,
@@ -119,6 +152,14 @@ def _estimate_payload(est: Estimate) -> dict:
     payload["roots"] = list(est.roots)
     payload["degenerate_branch"] = est.degenerate_branch
     return payload
+
+
+def _distribution_payload(dist) -> dict:
+    return {
+        "probabilities": _Numbers(dist.probabilities.tolist()),
+        "weights": _Numbers(dist.weights.tolist()),
+        "total": dist.total,
+    }
 
 
 def _boundary_warnings(game_class) -> list[str]:
@@ -281,9 +322,7 @@ def _cmd_app_public_goods(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "p_star": apps.public_goods_p_star(k),
         "options": options,
-        "probabilities": dist.probabilities.tolist(),
-        "weights": dist.weights.tolist(),
-        "total": dist.total,
+        **_distribution_payload(dist),
     }
     return inputs, payload, []
 
@@ -299,9 +338,7 @@ def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "steps": steps,
         "v": spec.v,
-        "probabilities": dist.probabilities.tolist(),
-        "weights": dist.weights.tolist(),
-        "total": dist.total,
+        **_distribution_payload(dist),
     }
     if args.mean:
         payload["mean"] = apps.traveler_mean(spec, policy)
@@ -317,9 +354,7 @@ def _cmd_app_attrition(args, policy) -> tuple[dict, dict, list[str]]:
     payload = {
         "max_bid": max_bid,
         "mode": args.mode,
-        "probabilities": dist.probabilities.tolist(),
-        "weights": dist.weights.tolist(),
-        "total": dist.total,
+        **_distribution_payload(dist),
     }
     warnings = [ATTRITION_PAPER_NOTE] if args.mode == "paper" else []
     return inputs, payload, warnings
@@ -372,9 +407,26 @@ def _is_probability_key(key: str) -> bool:
     return len(parent) >= 2 and parent[-2] == "probabilities"
 
 
+def _json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` nested at ``indent``, with ``_Numbers``
+    written as arrays of their strings."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    elif isinstance(value, _Numbers):
+        items, brackets = value.strs, "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _render(envelope: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
+        return _json(envelope, "") + "\n"
     if fmt == "csv":
         flat: list[tuple[str, object]] = []
         _flatten("", envelope, flat)
@@ -382,7 +434,10 @@ def _render(envelope: dict, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, value in flat:
-            if value is None:
+            if isinstance(value, _Numbers):
+                # neither the keys nor the numbers need csv quoting
+                buf.write("".join([f"{key}.{i},{s}\n" for i, s in enumerate(value.strs)]))
+            elif value is None:
                 writer.writerow([key, ""])
             elif isinstance(value, bool):
                 writer.writerow([key, "true" if value else "false"])
@@ -394,7 +449,14 @@ def _render(envelope: dict, fmt: str) -> str:
         _flatten("", envelope["result"], flat)
         lines = [f"{envelope['command']}:"]
         for key, value in flat:
-            if _is_probability_key(key) and isinstance(value, float) and not isinstance(value, bool):
+            if isinstance(value, _Numbers):
+                # every element key ends in its index, so one test covers them all
+                if _is_probability_key(f"{key}.0"):
+                    percents = _float_reprs([float(s) * 100.0 for s in value.strs])
+                    lines += [f"  {key}.{i} = {s} ({pc}%)" for i, (s, pc) in enumerate(zip(value.strs, percents))]
+                else:
+                    lines += [f"  {key}.{i} = {s}" for i, s in enumerate(value.strs)]
+            elif _is_probability_key(key) and isinstance(value, float) and not isinstance(value, bool):
                 lines.append(f"  {key} = {value} ({_round12(value * 100.0)}%)")
             else:
                 lines.append(f"  {key} = {value}")

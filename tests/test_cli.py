@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cooprob.cli import main
+from cooprob import cli
+from cooprob.cli import UsageError, main
 
 CMD = [sys.executable, "-m", "cooprob"]
 
@@ -293,3 +297,160 @@ def test_malformed_tables_file_exits_2(tmp_path):
     path.write_text("{oops")
     proc = run_cli("verify", "--file", str(path))
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------- bulk rendering
+#
+# The renderers format array-valued results (probabilities, weights) in
+# bulk. The reference below is the per-value renderer they replaced, kept
+# verbatim; every envelope must come out byte for byte the same.
+
+
+def _ref_round12(value):
+    if isinstance(value, bool) or not isinstance(value, float):
+        return value
+    if value == 0.0 or not math.isfinite(value):
+        return value
+    return float(f"{value:.12g}")
+
+
+def _ref_rounded(obj):
+    if isinstance(obj, dict):
+        return {k: _ref_rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_rounded(v) for v in obj]
+    return _ref_round12(obj)
+
+
+def _ref_flatten(prefix: str, value, out: list[tuple[str, object]]) -> None:
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _ref_flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
+    elif isinstance(value, list):
+        for idx, v in enumerate(value):
+            _ref_flatten(f"{prefix}.{idx}", v, out)
+    else:
+        out.append((prefix, value))
+
+
+def _ref_is_probability_key(key: str) -> bool:
+    """Keys whose values read naturally as percentages in text mode."""
+    leaf = key.rsplit(".", 1)[-1]
+    if leaf in ("p", "q", "p_star", "p_x", "p_y", "p_computed", "p_solver", "p_conjecture"):
+        return True
+    parent = key.split(".")
+    return len(parent) >= 2 and parent[-2] == "probabilities"
+
+
+def _ref_render(envelope: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(envelope, indent=2) + "\n"
+    if fmt == "csv":
+        flat: list[tuple[str, object]] = []
+        _ref_flatten("", envelope, flat)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        for key, value in flat:
+            if value is None:
+                writer.writerow([key, ""])
+            elif isinstance(value, bool):
+                writer.writerow([key, "true" if value else "false"])
+            else:
+                writer.writerow([key, value])
+        return buf.getvalue()
+    if fmt == "text":
+        flat = []
+        _ref_flatten("", envelope["result"], flat)
+        lines = [f"{envelope['command']}:"]
+        for key, value in flat:
+            if _ref_is_probability_key(key) and isinstance(value, float) and not isinstance(value, bool):
+                lines.append(f"  {key} = {value} ({_ref_round12(value * 100.0)}%)")
+            else:
+                lines.append(f"  {key} = {value}")
+        for note in envelope["warnings"]:
+            lines.append(f"  warning: {note}")
+        return "\n".join(lines) + "\n"
+    raise UsageError(f"unknown format {fmt!r}")
+
+
+def _ref_distribution_payload(dist) -> dict:
+    return {
+        "probabilities": dist.probabilities.tolist(),
+        "weights": dist.weights.tolist(),
+        "total": dist.total,
+    }
+
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    1.0,
+    -3.0,
+    1e-4,
+    1e-5,
+    999999999999.5,  # rounds up across the switch to exponent form
+    1e12,
+    123456789012345.0,  # .12g prints e+14, repr fixed notation
+    1e16,
+    5e-324,  # subnormal: repr prints fewer than 12 digits
+    1e-310,
+    2.2250738585072014e-308,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_bulk_number_rule_on_edge_values(value):
+    assert cli._float_reprs([value]) == [repr(_ref_round12(value))]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), max_size=20))
+@settings(max_examples=500, deadline=None)
+def test_bulk_number_rule_matches_per_value_rounding(values):
+    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+
+
+BULK_COMMANDS = [
+    "app public-goods --r 100 --k 1.5 --options 1",
+    "app public-goods --r 100 --k 1.5 --options 3000",
+    "app traveler --max 100 --min 2 --bonus 2 --steps 2000 --mean",
+    "app attrition --x 2 --max-bid 1000 --mode paper",
+    "app attrition --x 2 --max-bid 1000 --mode dispatch",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", BULK_COMMANDS)
+def test_bulk_envelopes_match_the_per_value_renderer(command, fmt, capsys, monkeypatch):
+    argv = command.split() + ["--format", fmt]
+    assert main(argv) == 0
+    bulk = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_distribution_payload", _ref_distribution_payload)
+    monkeypatch.setattr(cli, "_rounded", _ref_rounded)
+    monkeypatch.setattr(cli, "_render", _ref_render)
+    assert main(argv) == 0
+    assert bulk == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_bulk_renderer_matches_on_a_synthetic_envelope(fmt):
+    def envelope(array):
+        result = {
+            "p": 0.25,
+            "probabilities": array(EDGE_VALUES),
+            "nested": {"deeper": {"weights": array([v * 3.0 for v in EDGE_VALUES]), "flag": True}},
+            "empty": array([]),
+            "nothing": None,
+            "no_keys": {},
+            "total": 2e12,
+        }
+        return {
+            "command": "synthetic",
+            "inputs": {"options": 13, "series": array([0.5, -1e300, 7.0])},
+            "result": result,
+            "warnings": ['a note, with a comma and a "quote"'],
+        }
+
+    bulk = {k: cli._rounded(v) for k, v in envelope(cli._Numbers).items()}
+    ref = {k: _ref_rounded(v) for k, v in envelope(list).items()}
+    assert cli._render(bulk, fmt) == _ref_render(ref, fmt)
