@@ -451,10 +451,10 @@ def attrition_table2(spec: AttritionSpec, i: int, j: int) -> PayoffTable2:
 
 def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.ndarray:
     """``paper`` mode's conceding probability as a function of the bid gap d:
-    p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d)."""
-    x = spec.x
-    p = (-x / 2.0 + np.sqrt(x * x / 4.0 + 4.0 * deltas * deltas)) / (2.0 * deltas)
-    return _finite_by_delta(spec, p)
+    p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d), taken as 2 d / (x/2 + hypot(x/2, 2 d)),
+    which neither cancels when x >> d nor overflows."""
+    half = spec.x / 2.0
+    return 2.0 * deltas / (half + np.hypot(half, 2.0 * deltas))
 
 
 def _check_attrition_mode(mode: str) -> None:

@@ -15,7 +15,10 @@ whose weights depend on the game class. For the dilemma ordering
     p^2 (a - b - c + d) + p (b - d) + (c - b) = 0
 
 solved on the positive branch. Coordination-flavored classes swap which
-payoff comparisons feed each weight; see :func:`phi_chi`.
+payoff comparisons feed each weight; see :func:`phi_chi`. That choice of
+weights is the only thing the classes differ in: every class's weights are
+affine in p, and one degree-2 rule, the two-player case of the balance core
+in :mod:`cooprob.nplayer`, solves them all.
 
 Baselines kept alongside the balanced estimate: maximin mixing, the
 payoff-sum maximizer, and the opponent-dependent best-response threshold.
@@ -34,7 +37,6 @@ from .errors import (
     CooprobError,
     DomainError,
     InternalError,
-    NoValidRootError,
     UnsupportedClassError,
 )
 from .tables import DEFAULT_POLICY, Estimate, GameClass, GameTag, NumericPolicy, PayoffTable2, classify2, payoff_scale
@@ -238,12 +240,22 @@ def best_response(table: PayoffTable2, p2: float) -> Response:
     return Response.DEFECT
 
 
+# products of numbers between these bounds neither overflow nor underflow
+_TINY, _HUGE = 2.0**-300, 2.0**300
+
+
 def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, float]:
-    """Both real roots of qa x^2 + qb x + qc, cancellation-safe, ascending."""
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        raise NoValidRootError(f"negative discriminant {disc!r}")
-    s = math.sqrt(disc)
+    """Both real roots of qa x^2 + qb x + qc, cancellation-safe, ascending.
+
+    Every caller's quadratic changes sign on [0, 1], so its roots are real,
+    and a negative discriminant is rounding at a double root: it counts as 0.
+    """
+    m = max(abs(qa), abs(qb), abs(qc))
+    if not _TINY < m < _HUGE:
+        # scaling by a power of two is exact, so no root changes, and keeps the squares in range
+        e = -math.frexp(m)[1]
+        qa, qb, qc = math.ldexp(qa, e), math.ldexp(qb, e), math.ldexp(qc, e)
+    s = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
     if qb >= 0.0:
         t = -(qb + s) / 2.0
     else:
@@ -256,177 +268,107 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, flo
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def _select_unit_root(roots: tuple[float, ...], eps_root: float, what: str) -> float:
-    inside = [r for r in roots if -eps_root <= r <= 1.0 + eps_root]
-    if not inside:
-        raise NoValidRootError(f"{what}: no root in [0, 1] among {roots!r}")
-    # collapse duplicates produced by a double root
-    uniq: list[float] = []
-    for r in inside:
-        if not any(abs(r - u) <= eps_root for u in uniq):
-            uniq.append(r)
-    if len(uniq) > 1:
-        raise AmbiguousRootError(f"{what}: several roots in [0, 1]: {uniq!r}", tuple(uniq))
-    return min(1.0, max(0.0, uniq[0]))
+def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
+    """Balanced p of psi = s0 q + s1 p and omega = w0 q + w1 p, the four
+    weights finite and nonnegative: the degree-2 case of the balance core
+    ``nplayer._balance_root``.
+
+    With t = p / q, h = p omega - q psi = q^2 (H0 + H1 t + H2 t^2), where
+    H0 = -s0 <= 0, H1 = w0 - s1 and H2 = w1 >= 0. If s0 > 0 and w1 > 0, then
+    h(0) < 0 < h(1) and h has one root in (0, 1),
+
+        p = 2 s0 / (H1 + sqrt(D) + 2 s0)                 if H1 >= 0,
+        p = (sqrt(D) - H1) / (sqrt(D) - H1 + 2 w1)       if H1 < 0,
+
+    with D = H1^2 + 4 s0 w1, so that nothing subtracts. The same forms give
+    the ends: if w1 = 0, 1 is a root, and the interior root s0 / (s0 + H1)
+    exists when H1 > 0; it attracts and 1 repels. If s0 = 0, 0 is a root, and
+    the interior root -H1 / (w1 - H1) exists when H1 < 0; it attracts and 0
+    repels. The map psi / (psi + omega) is a Moebius map, with at most one
+    attracting fixed point, so this is the core's root rule (lone root, else
+    lone attracting root), and no iteration runs.
+    """
+    h1 = w0 - s1
+    g = math.sqrt(s0) * math.sqrt(w1)  # D = h1^2 + 4 g^2, g formed without overflow or underflow
+    rho = max(abs(h1), g)
+    if rho == 0.0:  # h = -s0 q^2 or w1 p^2
+        if s0 == w1:
+            raise AmbiguousRootError(
+                "no single attracting root among the balance roots [0.0, 1.0] in [0, 1]", (0.0, 1.0)
+            )
+        return 1.0 if s0 else 0.0
+    x = s0 if h1 >= 0.0 else w1  # the weight that the form for this sign of H1 holds
+    hs = h1
+    if not (_TINY < rho < _HUGE and x < _HUGE):
+        # scaling by a power of two is exact and brings rho near 1, so the squares
+        # stay in range; the cap keeps x finite, and where it binds p is 0 or 1
+        e = min(-math.frexp(rho)[1], 1000 - math.frexp(x)[1])
+        hs, g, x = math.ldexp(h1, e), math.ldexp(g, e), math.ldexp(x, e)
+    r = math.sqrt(hs * hs + 4.0 * g * g)
+    if h1 >= 0.0:
+        return 2.0 * x / (hs + r + 2.0 * x)
+    return (r - hs) / (r - hs + 2.0 * x)
+
+
+# A weight adds up to two payoff gaps, and a coefficient of the balance
+# quadratic up to six; below this payoff scale all of them stay finite, and
+# above it balanced_p scales the payoffs by 1/8, which is exact there.
+_WIDE_SCALE = 2.0**1020
 
 
 def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
     """Balanced-player cooperation probability for a classified table.
 
-    Dispatches on :func:`classify2`:
+    Every class goes through one rule: its weights :func:`weights2` are
+    affine in p, so they are fixed by their values at p = 0 and p = 1, and
+    :func:`_balance_root2` returns the balance root that the core's root rule
+    picks. For the dilemma that is the positive branch of the balance
+    quadratic; Stag Hunt gets p = 1 when (b-c)/(a-d) >= 1/2 and the interior
+    attractor otherwise; Translators gets p = 0 (cooperation never pays).
 
-    * PrisonersDilemma: positive branch of the balance quadratic; when the
-      quadratic coefficient a-b-c+d vanishes (within policy tolerance) the
-      linear form p = (b-c)/(a-c) applies.
-    * Chicken / BattleOfSexes: the unique balance root in [0, 1]; their
-      degenerate linear forms are (a-c)/(2a-b-c) and (a-b)/(a+d-2b).
-    * StagHunt: p = 1 when (b-c)/(a-d) >= 1/2, else the interior attractor
-      (c-b)/(-a+b-c+d).
-    * Translators: p = 0 (cooperation never pays).
-
-    Unclassified tables raise UnsupportedClassError.
+    ``roots`` lists every real root of the balance quadratic in power form,
+    k p^2 + (w0 + 2 s0 - s1) p - s0 with k = (w1 - w0) + (s1 - s0), where
+    (s, w) are the weights at p = 0 and 1. When |k| is within the policy's
+    coefficient tolerance, ``degenerate_branch`` is set and ``roots`` is (p,);
+    so ``eps_coeff`` changes those two fields and never p. Unclassified
+    tables raise UnsupportedClassError.
 
     ``_balanced_p_batch`` mirrors this function row by row over arrays of
-    payoffs, bit for bit and with the same errors; a change to any branch
-    here must be made there too.
+    payoffs, bit for bit and with the same errors; a change here must be
+    made there too.
     """
     cls = classify2(table)
-    a, b, c, d = table.values()
-    tol = policy.coeff_tol(payoff_scale(table.values()))
-    tag = cls.tag
-
-    if tag is GameTag.PRISONERS_DILEMMA:
-        k = a - b - c + d
-        if abs(k) <= tol:
-            p = (b - c) / (a - c)
-            return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
-        roots = _stable_quadratic_roots(k, b - d, c - b)
-        try:
-            disc = (b - d) ** 2 + 4.0 * (b - c) * k
-        except OverflowError:
-            raise DomainError(f"(b - d)^2 overflows float64 at b - d = {b - d!r}") from None
-        if disc < 0.0:
-            raise InternalError("dilemma balance discriminant negative; classification bug")
-        # positive branch: p = (d - b + sqrt(disc)) / (2 k), evaluated via the
-        # conjugate form 2 (b - c) / (sqrt(disc) + (b - d)) which is stable for
-        # small k and continuous with the linear fallback at k = 0.
-        p = 2.0 * (b - c) / (math.sqrt(disc) + (b - d))
-        p = min(1.0, max(0.0, p))
-        return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
-
-    if tag is GameTag.CHICKEN:
-        k = a - b + c - d
-        if abs(k) <= tol:
-            p = (a - c) / (2.0 * a - b - c)
-            return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
-        roots = _stable_quadratic_roots(k, b + 2.0 * d - 3.0 * c, -(b + d - 2.0 * c))
-        p = _select_unit_root(roots, policy.eps_root, "chicken balance")
-        return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
-
-    if tag is GameTag.BATTLE_OF_SEXES:
-        k = a - b + c - d
-        if abs(k) <= tol:
-            p = (a - b) / (a + d - 2.0 * b)
-            return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
-        roots = _stable_quadratic_roots(k, 2.0 * d - b - c, c - d)
-        p = _select_unit_root(roots, policy.eps_root, "battle-of-sexes balance")
-        return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
-
-    if tag is GameTag.STAG_HUNT:
-        k = b - a - c + d
-        ratio = (b - c) / (a - d)
-        if abs(k) <= tol:
-            return Estimate(1.0, 0.0, "balanced", cls, roots=(1.0,), degenerate_branch=True)
-        r2 = (c - b) / (-a + b - c + d)
-        roots = (min(1.0, r2), max(1.0, r2))
-        if ratio >= 0.5:
-            p = 1.0
-        else:
-            p = min(1.0, max(0.0, r2))
-        return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
-
-    if tag is GameTag.TRANSLATORS:
-        return Estimate(0.0, 1.0, "balanced", cls, roots=(0.0,))
-
-    raise UnsupportedClassError("balanced_p requires a classified table")
+    values = table.values()
+    scale = payoff_scale(values)
+    tol = policy.coeff_tol(scale)
+    if cls.tag is GameTag.UNCLASSIFIED:
+        raise UnsupportedClassError("balanced_p requires a classified table")
+    if scale > _WIDE_SCALE:
+        values, tol = tuple(v * 0.125 for v in values), tol * 0.125
+    s0, w0 = weights2(cls.tag, *values, 0.0)
+    s1, w1 = weights2(cls.tag, *values, 1.0)
+    p = _balance_root2(s0, s1, w0, w1)
+    k = (w1 - w0) + (s1 - s0)
+    if abs(k) <= tol:
+        return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
+    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0)
+    return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
 
 
-# ------------------------------------------------- batch form of balanced_p
-#
-# Each helper below copies one piece of the scalar code above, with the same
-# operations in the same order, so that every row comes out bit for bit
-# equal. The per-class helpers return the rows' p and the mask of the rows
-# on which the scalar code raises.
-
-
-def _clamp_unit_batch(r):
-    """Row-wise ``min(1.0, max(0.0, r))``: the builtins keep their first
-    argument unless the second compares strictly beyond it, so NaN gives 0."""
-    m = np.where(r > 0.0, r, 0.0)
-    return np.where(m < 1.0, m, 1.0)
-
-
-def _stable_quadratic_roots_batch(qa, qb, qc):
-    """Row-wise :func:`_stable_quadratic_roots`: both roots, ascending, and
-    the mask of rows whose negative discriminant raises there."""
-    disc = qb * qb - 4.0 * qa * qc
-    s = np.sqrt(disc)
-    t = np.where(qb >= 0.0, -(qb + s) / 2.0, -(qb - s) / 2.0)
-    # t = 0 needs qc = 0, and no class's quadratic has that
-    r1 = t / qa
-    r2 = qc / t
-    ordered = r1 <= r2
-    return np.where(ordered, r1, r2), np.where(ordered, r2, r1), disc < 0.0
-
-
-def _select_unit_root_batch(lo, hi, eps_root):
-    """Row-wise :func:`_select_unit_root` on ascending root pairs: the root
-    it returns, and the mask of rows where it finds none or two."""
-    lo_in = (-eps_root <= lo) & (lo <= 1.0 + eps_root)
-    hi_in = (-eps_root <= hi) & (hi <= 1.0 + eps_root)
-    two = lo_in & hi_in & ~(np.abs(hi - lo) <= eps_root)
-    return _clamp_unit_batch(np.where(lo_in, lo, hi)), ~(lo_in | hi_in) | two
-
-
-def _prisoners_dilemma_batch(a, b, c, d, tol, eps_root):
-    k = a - b - c + d
-    no_root = _stable_quadratic_roots_batch(k, b - d, c - b)[2]
-    # ``(b - d) ** 2`` calls libm pow, which is not always (b - d) * (b - d);
-    # np.float_power calls the same pow
-    square = np.float_power(b - d, 2.0)
-    disc = square + 4.0 * (b - c) * k
-    quad = _clamp_unit_batch(2.0 * (b - c) / (np.sqrt(disc) + (b - d)))
-    # balanced_p refuses a finite base whose square overflows
-    fails = no_root | (np.isinf(square) & np.isfinite(b - d)) | (disc < 0.0)
-    linear = np.abs(k) <= tol
-    return np.where(linear, (b - c) / (a - c), quad), ~linear & fails
-
-
-def _chicken_batch(a, b, c, d, tol, eps_root):
-    k = a - b + c - d
-    lo, hi, no_root = _stable_quadratic_roots_batch(k, b + 2.0 * d - 3.0 * c, -(b + d - 2.0 * c))
-    quad, rejected = _select_unit_root_batch(lo, hi, eps_root)
-    linear = np.abs(k) <= tol
-    return np.where(linear, (a - c) / (2.0 * a - b - c), quad), ~linear & (no_root | rejected)
-
-
-def _battle_of_sexes_batch(a, b, c, d, tol, eps_root):
-    k = a - b + c - d
-    lo, hi, no_root = _stable_quadratic_roots_batch(k, 2.0 * d - b - c, c - d)
-    quad, rejected = _select_unit_root_batch(lo, hi, eps_root)
-    linear = np.abs(k) <= tol
-    return np.where(linear, (a - b) / (a + d - 2.0 * b), quad), ~linear & (no_root | rejected)
-
-
-def _stag_hunt_batch(a, b, c, d, tol, eps_root):
-    k = b - a - c + d
-    r2 = (c - b) / (-a + b - c + d)
-    p = np.where((b - c) / (a - d) >= 0.5, 1.0, _clamp_unit_batch(r2))
-    return np.where(np.abs(k) <= tol, 1.0, p), np.zeros(k.shape, dtype=bool)
-
-
-def _translators_batch(a, b, c, d, tol, eps_root):
-    return np.zeros(a.shape), np.zeros(a.shape, dtype=bool)
+def _balance_root2_batch(s0, s1, w0, w1):
+    """Row-wise :func:`_balance_root2`, with the same operations in the same
+    order: the rows' p, and the mask of rows on which it raises."""
+    h1 = w0 - s1
+    g = np.sqrt(s0) * np.sqrt(w1)
+    rho = np.maximum(np.abs(h1), g)
+    pos = h1 >= 0.0
+    x = np.where(pos, s0, w1)
+    e = np.minimum(-np.frexp(rho)[1], 1000 - np.frexp(x)[1])
+    e[(_TINY < rho) & (rho < _HUGE) & (x < _HUGE)] = 0
+    hs, g, x = np.ldexp(h1, e), np.ldexp(g, e), np.ldexp(x, e)
+    r = np.sqrt(hs * hs + 4.0 * g * g)
+    p = np.where(pos, 2.0 * x / (hs + r + 2.0 * x), (r - hs) / (r - hs + 2.0 * x))
+    return np.where(rho == 0.0, np.where(s0 != 0.0, 1.0, 0.0), p), (rho == 0.0) & (s0 == w1)
 
 
 def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -442,21 +384,24 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     p = np.zeros(a.shape)
     fails = np.ones(a.shape, dtype=bool)  # until one of the classes claims the row
     with np.errstate(all="ignore"):
-        # every class has a strict inequality, so a classified row's payoff
-        # scale is positive and coeff_tol is this product
+        # coeff_tol refuses an infinite payoff scale, and a wide one is
+        # scaled by 1/8 before the weights are formed, as in balanced_p
         scale = payoffs.max(axis=0) - payoffs.min(axis=0)
-        tol = policy.eps_coeff * scale
+        weighed = np.where(scale > _WIDE_SCALE, payoffs * 0.125, payoffs)
         # classify2's orderings are pairwise disjoint, so its precedence never decides
-        for order, solve in (
-            ((a > b) & (b > c) & (c >= d), _prisoners_dilemma_batch),
-            ((a > b) & (b > d) & (d > c), _chicken_batch),
-            ((a > d) & (d > c) & (c >= b), _battle_of_sexes_batch),
-            ((b > a) & (a >= c) & (c > d), _stag_hunt_batch),
-            ((a > c) & (c >= b) & (b > d), _translators_batch),
+        for tag, order in (
+            (GameTag.PRISONERS_DILEMMA, (a > b) & (b > c) & (c >= d)),
+            (GameTag.CHICKEN, (a > b) & (b > d) & (d > c)),
+            (GameTag.BATTLE_OF_SEXES, (a > d) & (d > c) & (c >= b)),
+            (GameTag.STAG_HUNT, (b > a) & (a >= c) & (c > d)),
+            (GameTag.TRANSLATORS, (a > c) & (c >= b) & (b > d)),
         ):
             rows = np.flatnonzero(order)
             if rows.size:
-                p[rows], fails[rows] = solve(*payoffs[:, rows], tol[rows], policy.eps_root)
+                cols = weighed[:, rows]
+                s0, w0 = weights2(tag, *cols, 0.0)
+                s1, w1 = weights2(tag, *cols, 1.0)
+                p[rows], fails[rows] = _balance_root2_batch(s0, s1, w0, w1)
     # PayoffTable2 refuses non-finite payoffs, coeff_tol an infinite payoff
     # scale and Estimate a p outside [0, 1]
     fails |= ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))

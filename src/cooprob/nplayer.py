@@ -6,7 +6,9 @@ subdivision and refined by a port of Brent's method, and one root rule.
 Three-player tables and n-player ladders hand it the ladder gaps. The
 two-sided (asymmetric) game hands it, per side, that side's map composed
 with the other side's, whose weights are affine in p; each side's
-eliminated quadratic only fills the reported roots.
+eliminated quadratic only fills the reported roots. A balance polynomial
+of degree 2, as there and for two-player ladders, goes to the closed form
+``estimators._balance_root2``, which also solves the five 2x2 classes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     NoValidRootError,
     UnsupportedClassError,
 )
-from .estimators import EquiprobabilityReport, Leaning, _stable_quadratic_roots
+from .estimators import EquiprobabilityReport, Leaning, _balance_root2, _stable_quadratic_roots
 from .iteration import _fixed_point
 from .tables import (
     DEFAULT_POLICY,
@@ -144,9 +146,6 @@ def _side_roots(own, other, tol: float) -> tuple[tuple[float, ...], bool]:
     (a, b, c, d), (a2, b2, c2, d2) = own, other
     k, f, bd, k2, f2, bd2 = a - b - c + d, b - c, b - d, a2 - b2 - c2 + d2, b2 - c2, b2 - d2
     qa, qb, qc = bd * k2, k * f2 - k2 * f + bd * bd2, -f * bd2
-    # scaling by a power of two is exact and keeps the squares in the root formula in range
-    e = math.frexp(max(abs(qa), abs(qb), abs(qc)))[1]
-    qa, qb, qc = math.ldexp(qa, -e), math.ldexp(qb, -e), math.ldexp(qc, -e)
     if abs(k2) > tol and qa != 0.0:
         return _stable_quadratic_roots(qa, qb, qc), False
     if qb == 0.0:
@@ -361,11 +360,13 @@ def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy)
     psi and omega come as weighted Bernstein coefficients C(m, k) b_k of one
     degree m, all nonnegative. A zero at the same end of both lists is a
     common factor p or q; dropping it leaves psi + omega > 0 on [0, 1]. With
-    t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k. Halving
-    [0, 1] by de Casteljau isolates the roots: a piece whose coefficients
-    change sign once holds one, found by Brent's method; an exact zero at 0,
-    1 or a split point is one. The choice among the roots follows the root
-    rule stated under :func:`balanced_p3`.
+    t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k. Degree 2
+    (m = 1, or m = 0 raised by the factor p + q) goes to the closed form
+    :func:`estimators._balance_root2`. Otherwise halving [0, 1] by de
+    Casteljau isolates the roots: a piece whose coefficients change sign
+    once holds one, found by Brent's method; an exact zero at 0, 1 or a
+    split point is one. The choice among the roots follows the root rule
+    stated under :func:`balanced_p3`.
     """
     if not all(map(math.isfinite, wpsi + womega)):
         raise DomainError("balance weights overflow float64")
@@ -375,6 +376,14 @@ def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy)
         wpsi, womega = wpsi[1:], womega[1:]
     while wpsi and wpsi[-1] == womega[-1] == 0.0:
         wpsi, womega = wpsi[:-1], womega[:-1]
+    if len(womega) <= 2:
+        # degree 1 is raised to 2 by the factor p + q; then h has at most one
+        # root in (0, 1), besides 0 where psi vanishes and 1 where omega does
+        p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
+        ends = {0.0} if wpsi[0] == 0.0 else set()
+        if womega[-1] == 0.0:
+            ends.add(1.0)
+        return p, sorted(ends | {p})
 
     def weights(p: float) -> tuple[float, float]:
         return _bernstein(wpsi, p), _bernstein(womega, p)

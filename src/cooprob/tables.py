@@ -183,9 +183,12 @@ class NumericPolicy:
 
     ``eps_coeff`` is relative: a polynomial coefficient counts as zero when
     its magnitude is at most ``eps_coeff`` times the largest absolute payoff
-    difference of the table it came from. ``eps_root`` widens the [0, 1]
-    acceptance interval for roots. ``fp_tol`` and ``fp_max_iter`` control
-    fixed-point iteration.
+    difference of the table it came from. It sets only the reported
+    ``roots`` and ``degenerate_branch``, never p. ``eps_root`` is the
+    imaginary-part tolerance for the reported roots of the 3-player cubic and
+    the distance within which the oracle's limit must match an attracting
+    root; no solver widens [0, 1] by it. ``fp_tol`` and ``fp_max_iter``
+    control fixed-point iteration.
     """
 
     eps_coeff: float = 1e-12
@@ -221,7 +224,9 @@ class Estimate:
     real roots of the balance polynomial (ascending): all of them, also those
     outside [0, 1], except from ``balanced_pn``, which lists those in [0, 1].
     ``degenerate_branch`` is set when a leading coefficient of the balance
-    polynomial vanished, so a reduced-degree form applies.
+    polynomial is zero within the policy's ``eps_coeff``; ``roots`` then
+    holds the roots of the reduced-degree form, and the two-player solver
+    reports (p,). p itself never depends on it.
     """
 
     p: float

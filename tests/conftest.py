@@ -96,3 +96,20 @@ def sample_near_linear_tables(size: int, seed: int) -> np.ndarray:
     chicken = (hi + g, hi, lo, lo + g + t)  # k = -t
     battle = (hi + t, lo, lo + t, hi)  # k = 2t
     return np.concatenate([np.stack(cols, axis=1) for cols in (dilemma, chicken, battle)])
+
+
+def sample_class_boundary_tables(size: int, seed: int) -> np.ndarray:
+    """Rows (a, b, c, d) drawn from [-SPAN, SPAN], with one of the ties a = c,
+    b = c or c = d imposed and then moved by -1, 0 or +1 ulp of c.
+
+    Unlike the samplers above, this one aims at the class boundaries: a tie
+    there decides between two classes, or puts a root of the balance
+    polynomial at 0 or 1. Many rows come out unclassified.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-SPAN, SPAN, (size, 4))
+    tied = rng.integers(0, 3, size)  # column tied to c: a, b or d
+    cols = np.array([0, 1, 3])[tied]
+    c = rows[:, 2]
+    rows[np.arange(size), cols] = c + rng.integers(-1, 2, size) * np.spacing(c)
+    return rows

@@ -107,8 +107,6 @@ def test_option_distribution_rejects_invalid_values(probs, weights, total):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: attrition_distribution(AttritionSpec(x=1e308, max_bid=3)),
-        lambda: attrition_pij(AttritionSpec(x=1e308, max_bid=3), 1, 0),
         lambda: traveler_distribution(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3)),
         lambda: traveler_pij(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3), 1, 0),
         lambda: traveler_mean(TravelerSpec(r=1.7e308, s=1e308, t=1e308, steps=3)),
@@ -458,8 +456,9 @@ def test_attrition_paper_mode_frozen_vector():
 def test_attrition_distribution_matches_the_loop_reference(x, max_bid):
     spec = AttritionSpec(x=x, max_bid=max_bid)
     gaps = range(1, max_bid + 1)
-    # paper mode's closed form in scalar math, as it was before vectorising
-    scalar = [(-x / 2.0 + math.sqrt(x * x / 4.0 + 4.0 * d * d)) / (2.0 * d) for d in gaps]
+    # paper mode's closed form, one gap at a time (np.hypot, since math.hypot
+    # rounds differently)
+    scalar = [2.0 * d / (x / 2.0 + float(np.hypot(x / 2.0, 2.0 * d))) for d in gaps]
     assert [attrition_pij(spec, d, 0) for d in gaps] == scalar
     weights = _loop_weights(scalar, False)
     _assert_matches_loop(attrition_distribution(spec), weights, float(np.sum(weights)))
@@ -467,6 +466,24 @@ def test_attrition_distribution_matches_the_loop_reference(x, max_bid):
     _assert_matches_loop(
         attrition_distribution(spec, mode="dispatch"), dispatch, float(np.sum(dispatch))
     )
+
+
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e6, 1e9])
+def test_attrition_paper_mode_keeps_its_digits_when_the_prize_dwarfs_the_gap(x):
+    # (-x/2 + sqrt(x^2/4 + 4)) / 2 at d = 1 cancels: 1e-9 off at x = 1e4, 0 at 1e9
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        half = mpmath.mpf(x) / 2
+        want = float((-half + mpmath.sqrt(half * half + 4)) / 2)
+    assert attrition_pij(AttritionSpec(x=x, max_bid=1), 1, 0) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_attrition_paper_mode_answers_a_prize_at_the_top_of_float64():
+    # x^2 overflows here; 2 d / (x/2 + hypot(x/2, 2 d)) is 2 d / x to rounding
+    spec = AttritionSpec(x=1e308, max_bid=3)
+    assert [attrition_pij(spec, d, 0) for d in (1, 2, 3)] == pytest.approx([2e-308, 4e-308, 6e-308], rel=1e-15)
+    dist = attrition_distribution(spec)
+    assert dist.probabilities.tolist() == pytest.approx([2e-308, 1 / 6, 1 / 3, 1 / 2], rel=1e-15)
 
 
 def _dispatch_reference(spec, policy=NumericPolicy()):
@@ -504,14 +521,16 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
 
 def test_attrition_dispatch_cli_policy_reaches_the_batch_solver(capsys):
     # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001: quadratic under
-    # the default tolerance, linear under --policy-eps 1e-3
+    # the default tolerance, degenerate under --policy-eps 1e-3, which changes
+    # the reported fields and never p
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
     spec = AttritionSpec(x=8.001, max_bid=10)
+    assert balanced_p(attrition_table2(spec, 8, 0), NumericPolicy(eps_coeff=1e-3)).degenerate_branch
     rendered = [
         [float(f"{w:.12g}") for w in _dispatch_reference(spec, policy)]
         for policy in (NumericPolicy(eps_coeff=1e-3, eps_root=1e-3), NumericPolicy())
     ]
-    assert rendered[0] != rendered[1]
+    assert rendered[0] == rendered[1]
     for extra, want in zip((["--policy-eps", "1e-3"], []), rendered):
         assert main(args + extra) == 0
         assert json.loads(capsys.readouterr().out)["result"]["weights"] == want

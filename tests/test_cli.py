@@ -221,13 +221,13 @@ def test_global_flags_accepted_before_and_after_subcommand():
 
 
 def test_policy_flags_change_the_numeric_policy():
-    # a huge coefficient epsilon reroutes the quadratic into its linear
-    # fallback, which is visible in the output
+    # a huge coefficient epsilon counts the quadratic coefficient as zero,
+    # which shows in the reported fields; p stays the balance root
     loose = run_json("estimate", "--table", "9,8,5,2", "--policy-eps", "0.5")
     assert loose["result"]["degenerate_branch"] is True
-    assert loose["result"]["p"] == 0.75
     tight = run_json("estimate", "--table", "9,8,5,2")
     assert tight["result"]["degenerate_branch"] is False
+    assert loose["result"]["p"] == tight["result"]["p"] == pytest.approx(0.6339745962155614, abs=1e-12)
 
 
 # ------------------------------------------------------------- exit codes
@@ -243,7 +243,7 @@ def test_policy_flags_change_the_numeric_policy():
         ("app", "diner", "--r", "4", "--s", "3.5", "--u", "2", "--w", "1"),  # R_cb = 2 = n
         ("app", "public-goods", "--r", "100", "--k", "2.5", "--options", "4"),
         ("verify", "--file", "/nonexistent/tables.json"),
-        ("app", "attrition", "--x", "1e308", "--max-bid", "3"),  # x^2 overflows
+        ("app", "attrition", "--x", "0", "--max-bid", "3"),  # the prize must be positive
         ("app", "traveler", "--max", "1.7e308", "--min", "1e308", "--bonus", "1e308", "--steps", "3"),
     ],
 )
@@ -257,7 +257,6 @@ def test_validation_failures_exit_2(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ("estimate", "--table", "1e300,1e200,0,-1e200"),  # (b - d)^2
         ("estimate", "--table", "1e308,0,-1e308,-1"),  # payoff scale
         ("estimate3", "--table", "1.7e308,1e308,0,-1e308,-1.5e308,-1.7e308"),  # ladder weights
         ("estimate3", "--table", "1e308,0.95e308,0.95e308,0.9e308,0,0"),  # cubic coefficients
@@ -270,6 +269,23 @@ def test_float64_overflow_exits_2_without_a_traceback(args):
     assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "table, p",
+    [
+        ("1e300,1e200,0,-1e200", 9.9999999999999996e-51),  # (b - d)^2 overflows float64
+        ("5e18,1,0,0.5", 5.4772255730516611e-10),  # Chicken; eps_root once made it ambiguous
+    ],
+)
+def test_extreme_two_player_tables_are_answered(table, p):
+    env = run_json("estimate", "--table", table)
+    assert env["result"]["p"] == pytest.approx(p, rel=1e-11)
+
+
+def test_attrition_paper_mode_answers_a_prize_whose_square_overflows():
+    env = run_json("app", "attrition", "--x", "1e308", "--max-bid", "3")
+    assert env["result"]["probabilities"] == pytest.approx([2e-308, 1 / 6, 1 / 3, 1 / 2], rel=1e-11)
 
 
 def test_no_valid_root_exits_3():

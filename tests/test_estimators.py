@@ -156,7 +156,6 @@ def test_balanced_p_batch_is_bitwise_the_scalar_path(policy):
     [
         ((1.0, 2.0, 3.0, 4.0), UnsupportedClassError),
         ((math.inf, 8.0, 5.0, 2.0), InvalidTableError),  # classifies as a dilemma
-        ((1e300, 1e200, 0.0, -1e200), DomainError),  # (b - d) ** 2 overflows
         ((1e308, 0.0, -1e308, -1.0), DomainError),  # the payoff scale overflows
         ((1e308, 5e307, -5e307, -1e308), DomainError),  # the same, though k = 0 gives p = 2/3
     ],
@@ -172,7 +171,6 @@ def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refus
 @pytest.mark.parametrize(
     "values, what",
     [
-        ((1e300, 1e200, 0.0, -1e200), r"\(b - d\)\^2"),
         ((1e308, 0.0, -1e308, -1.0), "payoff scale"),
         ((1e308, 5e307, -5e307, -1e308), "payoff scale"),
     ],
@@ -182,24 +180,28 @@ def test_balanced_p_names_the_float64_overflow(values, what):
         balanced_p(PayoffTable2(*values))
 
 
-def test_balanced_p_batch_raises_the_scalar_ambiguity():
-    # a root at -9.906 counts as in [0, 1] under eps_root = 10, and it lies
-    # more than 10 from the other root at 0.656
-    wide = NumericPolicy(eps_root=10.0)
+def test_eps_root_does_not_widen_the_unit_interval():
+    # the balance polynomial is negative at 0 and positive at 1, so its one
+    # root in [0, 1] wins, whatever eps_root; the root at -9.906 never counts
     chicken = (14.0, -1.0, -16.0, -5.0)
-    with pytest.raises(AmbiguousRootError) as scalar:
-        balanced_p(PayoffTable2(*chicken), wide)
+    lo, hi = balanced_p(PayoffTable2(*chicken)).roots
     rows = np.array([(9, 8, 5, 2), chicken])
-    with pytest.raises(AmbiguousRootError, match=r"^row 1: ") as batch:
-        _balanced_p_batch(*rows.T, wide)
-    assert batch.value.candidates == scalar.value.candidates
-    # roots exactly eps_root apart count as one, the lower one, clamped to 0
-    lo, hi = scalar.value.candidates
-    touching = NumericPolicy(eps_root=abs(hi - lo))
-    assert balanced_p(PayoffTable2(*chicken), touching).p == 0.0
-    assert _balanced_p_batch(*rows.T, touching).tolist() == [
-        balanced_p(PayoffTable2(*row), touching).p for row in rows.tolist()
-    ]
+    for eps_root in (10.0, abs(hi - lo)):
+        policy = NumericPolicy(eps_root=eps_root)
+        assert balanced_p(PayoffTable2(*chicken), policy).p == 0.6561575435694019
+        assert _balanced_p_batch(*rows.T, policy).tolist() == [
+            balanced_p(PayoffTable2(*row), policy).p for row in rows.tolist()
+        ]
+
+
+def test_a_dilemma_past_the_square_of_its_gaps_is_answered():
+    # (b - d)^2 overflows float64 here; the degree-2 rule never forms it
+    table = (1e300, 1e200, 0.0, -1e200)
+    est = balanced_p(PayoffTable2(*table))
+    assert est.p == pytest.approx(9.9999999999999996e-51, rel=1e-15)
+    assert all(math.isfinite(r) for r in est.roots)
+    rows = np.array([(9.0, 8.0, 5.0, 2.0), table])
+    assert _balanced_p_batch(*rows.T)[1] == est.p
 
 
 # -------------------------------------------------------------- baselines
