@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CooprobError, DomainError, InvalidTableError
-from .estimators import balanced_p, expected_payoff2
+from .estimators import _balance2, _mu2, balanced_p, expected_payoff2
 from .nplayer import balanced_p3, expected_payoff3
 from .tables import (
     DEFAULT_POLICY,
@@ -17,6 +17,7 @@ from .tables import (
     NumericPolicy,
     PayoffTable2,
     PayoffTable3,
+    _tag2,
     classify2,
 )
 
@@ -102,8 +103,8 @@ def verify_table(
     )
 
 
-def _objective(report: VerificationReport, target: BalanceTarget) -> float:
-    return (report.delta_p / target.p_tol) ** 2 + (report.delta_mu / target.mu_tol) ** 2
+def _objective(delta_p: float, delta_mu: float, target: BalanceTarget) -> float:
+    return (delta_p / target.p_tol) ** 2 + (delta_mu / target.mu_tol) ** 2
 
 
 def balance_search(
@@ -116,11 +117,18 @@ def balance_search(
 ) -> SearchResult:
     """Greedily perturb payoffs toward the target without changing class.
 
-    Each round tries +/- step on each of the four payoffs, discards
-    neighbors whose class tag differs from the starting table's, and moves
-    to the best neighbor that lowers the squared tolerance-normalized
-    objective. Stops on target met, stall, or the iteration cap. In integer
-    mode the step is snapped to a whole number (at least 1).
+    Each round tries +/- step on each of the four payoffs and moves to the
+    best neighbor that lowers the squared tolerance-normalized objective.
+    A neighbor is skipped when a payoff is not finite, when its class tag
+    differs from the starting table's, or when the solver refuses it (an
+    infinite payoff scale, an ambiguous balance root). Stops on target met,
+    stall, or the iteration cap. In integer mode the step is snapped to a
+    whole number (at least 1); only the step is snapped, so a start with
+    non-integer payoffs stays non-integer.
+
+    Neighbors are scored from their payoffs with the rules that
+    :func:`verify_table` runs; the table and report are built only for the
+    table returned.
     """
     if step <= 0 or not math.isfinite(step):
         raise DomainError("step must be finite and positive")
@@ -130,35 +138,46 @@ def balance_search(
         step = float(max(1, round(step)))
     tag0 = classify2(table).tag
     report = verify_table(table, target, policy)
-    best_obj = _objective(report, target)
+    values = table.values()
+    passed = report.passed
+    best_obj = _objective(report.delta_p, report.delta_mu, target)
+    moved = False
     iterations = 0
-    while iterations < max_iters:
-        if report.passed:
-            return SearchResult(table, report, True, False, iterations)
+    stalled = False
+    while iterations < max_iters and not passed:
         iterations += 1
         best_neighbor = None
-        for field in ("a", "b", "c", "d"):
+        for i in range(4):
             for sign in (1.0, -1.0):
-                values = table.to_dict()
-                values[field] += sign * step
+                cand = list(values)
+                cand[i] += sign * step
+                # skipped wherever building and verifying its table would raise:
+                # a payoff overflows, the class changes, the solver refuses
+                # the payoffs, or p leaves [0, 1]
+                if not math.isfinite(cand[i]) or _tag2(*cand) is not tag0:
+                    continue
                 try:
-                    cand = PayoffTable2(**values)
+                    p = _balance2(tag0, cand, policy)[0]
                 except CooprobError:
                     continue
-                if classify2(cand).tag is not tag0:
+                if not 0.0 <= p <= 1.0:
                     continue
-                try:
-                    cand_report = verify_table(cand, target, policy)
-                except CooprobError:
-                    continue
-                obj = _objective(cand_report, target)
+                dp = p - target.p
+                dmu = _mu2(p, *cand) - target.mu
+                obj = _objective(dp, dmu, target)
                 if obj < best_obj - 1e-15:
                     best_obj = obj
-                    best_neighbor = (cand, cand_report)
+                    best_neighbor = (cand, dp, dmu)
         if best_neighbor is None:
-            return SearchResult(table, report, report.passed, True, iterations)
-        table, report = best_neighbor
-    return SearchResult(table, report, report.passed, False, iterations)
+            stalled = True
+            break
+        values, dp, dmu = best_neighbor
+        passed = abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol
+        moved = True
+    if moved:
+        table = PayoffTable2(*values)
+        report = verify_table(table, target, policy)
+    return SearchResult(table, report, report.passed, stalled, iterations)
 
 
 @dataclass(frozen=True)

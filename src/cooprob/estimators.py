@@ -250,10 +250,11 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, flo
     Every caller's quadratic changes sign on [0, 1], so its roots are real,
     and a negative discriminant is rounding at a double root: it counts as 0.
     """
-    m = max(abs(qa), abs(qb), abs(qc))
+    m = max(abs(qb), math.sqrt(abs(qa)) * math.sqrt(abs(qc)))  # the scale of t below
     if not _TINY < m < _HUGE:
-        # scaling by a power of two is exact, so no root changes, and keeps the squares in range
-        e = -math.frexp(m)[1]
+        # scaling by a power of two is exact and brings m near 1, so qb^2 and
+        # qa qc stay in range and no root changes; the cap keeps qa and qc finite
+        e = min(-math.frexp(m)[1], 1020 - math.frexp(max(abs(qa), abs(qc)))[1])
         qa, qb, qc = math.ldexp(qa, e), math.ldexp(qb, e), math.ldexp(qc, e)
     s = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
     if qb >= 0.0:
@@ -316,6 +317,27 @@ def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
 _WIDE_SCALE = 2.0**1020
 
 
+def _balance2(tag: GameTag, values, policy: NumericPolicy):
+    """(p, s0, s1, w0, w1, tol): the balanced p of the payoffs ``values``
+    under class ``tag``, the weights at p = 0 and 1 it came from, and the
+    coefficient tolerance, both scaled by 1/8 on a wide payoff scale.
+
+    The whole rule of :func:`balanced_p` except the class and the reported
+    roots; ``balance_search`` scores its neighbours with it. Raises as
+    :func:`balanced_p` does: DomainError for an infinite payoff scale,
+    UnsupportedClassError for Unclassified, AmbiguousRootError.
+    """
+    scale = payoff_scale(values)
+    tol = policy.coeff_tol(scale)
+    if tag is GameTag.UNCLASSIFIED:
+        raise UnsupportedClassError("balanced_p requires a classified table")
+    if scale > _WIDE_SCALE:
+        values, tol = tuple(v * 0.125 for v in values), tol * 0.125
+    s0, w0 = weights2(tag, *values, 0.0)
+    s1, w1 = weights2(tag, *values, 1.0)
+    return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1, tol
+
+
 def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
     """Balanced-player cooperation probability for a classified table.
 
@@ -338,16 +360,7 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
     made there too.
     """
     cls = classify2(table)
-    values = table.values()
-    scale = payoff_scale(values)
-    tol = policy.coeff_tol(scale)
-    if cls.tag is GameTag.UNCLASSIFIED:
-        raise UnsupportedClassError("balanced_p requires a classified table")
-    if scale > _WIDE_SCALE:
-        values, tol = tuple(v * 0.125 for v in values), tol * 0.125
-    s0, w0 = weights2(cls.tag, *values, 0.0)
-    s1, w1 = weights2(cls.tag, *values, 1.0)
-    p = _balance_root2(s0, s1, w0, w1)
+    p, s0, s1, w0, w1, tol = _balance2(cls.tag, table.values(), policy)
     k = (w1 - w0) + (s1 - s0)
     if abs(k) <= tol:
         return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
@@ -442,6 +455,10 @@ def expected_payoff2(table: PayoffTable2, p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p!r} outside [0, 1]")
-    a, b, c, d = table.values()
+    return _mu2(p, table.a, table.b, table.c, table.d)
+
+
+def _mu2(p: float, a: float, b: float, c: float, d: float) -> float:
+    """:func:`expected_payoff2` from the payoffs, p in [0, 1] unchecked."""
     q = 1.0 - p
     return p * p * b + q * q * c + p * q * (a + d)

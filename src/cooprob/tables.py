@@ -246,6 +246,32 @@ def payoff_scale(values: tuple[float, ...]) -> float:
     return max(values) - min(values)
 
 
+def _tag2(a: float, b: float, c: float, d: float) -> GameTag:
+    """The class tag of :func:`classify2`, from the four payoffs alone."""
+    if a > b > c >= d:
+        return GameTag.PRISONERS_DILEMMA
+    if a > b > d > c:
+        return GameTag.CHICKEN
+    if a > d > c >= b:
+        return GameTag.BATTLE_OF_SEXES
+    if b > a >= c > d:
+        return GameTag.STAG_HUNT
+    if a > c >= b > d:
+        return GameTag.TRANSLATORS
+    return GameTag.UNCLASSIFIED
+
+
+# per tag, the weak inequality of its ordering, named as the boundary flag
+# it records when it holds with equality
+_WEAK2 = {
+    GameTag.PRISONERS_DILEMMA: "c=d",
+    GameTag.BATTLE_OF_SEXES: "b=c",
+    GameTag.STAG_HUNT: "a=c",
+    GameTag.TRANSLATORS: "b=c",
+}
+_NO_FLAGS: frozenset[str] = frozenset()
+
+
 def classify2(table: PayoffTable2) -> GameClass:
     """Classify a two-player table by strict payoff ordering.
 
@@ -261,22 +287,11 @@ def classify2(table: PayoffTable2) -> GameClass:
     Anything else is Unclassified. Comparisons are exact; no epsilon is
     applied to user-supplied payoffs.
     """
-    a, b, c, d = table.values()
-    if a > b > c >= d:
-        flags = frozenset({"c=d"}) if c == d else frozenset()
-        return GameClass(GameTag.PRISONERS_DILEMMA, flags)
-    if a > b > d > c:
-        return GameClass(GameTag.CHICKEN)
-    if a > d > c >= b:
-        flags = frozenset({"b=c"}) if c == b else frozenset()
-        return GameClass(GameTag.BATTLE_OF_SEXES, flags)
-    if b > a >= c > d:
-        flags = frozenset({"a=c"}) if a == c else frozenset()
-        return GameClass(GameTag.STAG_HUNT, flags)
-    if a > c >= b > d:
-        flags = frozenset({"b=c"}) if c == b else frozenset()
-        return GameClass(GameTag.TRANSLATORS, flags)
-    return GameClass(GameTag.UNCLASSIFIED)
+    tag = _tag2(table.a, table.b, table.c, table.d)
+    flag = _WEAK2.get(tag)
+    if flag is not None and getattr(table, flag[0]) == getattr(table, flag[2]):
+        return GameClass(tag, frozenset({flag}))
+    return GameClass(tag, _NO_FLAGS)
 
 
 def classify3(table: PayoffTable3) -> GameClass:

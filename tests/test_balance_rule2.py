@@ -284,6 +284,43 @@ def test_stable_quadratic_roots_normalise_without_changing_bits():
     assert (lo, hi) == pytest.approx((1e-50, 1.0), rel=1e-15)
 
 
+def _mp_quadratic_roots(mp, qa, qb, qc):
+    """Both roots of qa x^2 + qb x + qc, qa qc < 0, ascending, with 40 digits."""
+    with mp.workdps(40):
+        qa, qb, qc = mp.mpf(qa), mp.mpf(qb), mp.mpf(qc)
+        t = -(qb + mp.sign(qb) * mp.sqrt(qb * qb - 4 * qa * qc)) / 2  # no cancellation
+        return sorted((t / qa, qc / t))
+
+
+def test_balanced_p_reports_roots_its_coefficients_span_past_float64():
+    # normalised by its largest coefficient, the quadratic 1e300 p^2 + 1e-300 p
+    # - 1e-300 lost its small coefficients, and the roots read (0.0, 0.0)
+    mp = pytest.importorskip("mpmath")
+    est = balanced_p(PayoffTable2(1e300, 1e-300, 0.0, 0.0))
+    want = [float(r) for r in _mp_quadratic_roots(mp, 1e300, 1e-300, -1e-300)]
+    assert est.roots == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert est.roots[1] == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+    assert est.p == balanced_p(PayoffTable2(1e300, 1e-300, 0.0, 0.0), NumericPolicy(eps_coeff=0.5)).p
+
+
+def test_stable_quadratic_roots_across_float64():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(3000):
+        ma, mb, mc = (rng.uniform(0.5, 1.0, 3) * rng.choice([-1.0, 1.0], 3)).tolist()
+        ea, eb, ec = rng.integers(-1070, 1020, 3).tolist()
+        # qa and qc of opposite signs: two real roots
+        qa, qb, qc = math.ldexp(ma, ea), math.ldexp(mb, eb), -math.copysign(math.ldexp(mc, ec), ma)
+        want = _mp_quadratic_roots(mp, qa, qb, qc)
+        if max(abs(w) for w in want) > 2.0**1000:
+            continue  # a root that float64 cannot hold
+        checked += 1
+        got = _stable_quadratic_roots(qa, qb, qc)
+        assert got == pytest.approx([float(w) for w in want], rel=1e-14, abs=2.0**-1000), (qa, qb, qc)
+    assert checked > 1000
+
+
 # ------------------------------------------------ the subdivision path
 
 
