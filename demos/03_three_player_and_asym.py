@@ -24,14 +24,15 @@ t = PayoffTable3(10, 8, 7, 5, 4, 2)
 print("class:", classify3(t).tag.value)
 print("cubic coefficients:", cubic_coefficients(t))
 est = balanced_p3(t)
-print(f"p = {est.p:.12f}  (degenerate branch: {est.degenerate_branch})")
+print(f"p = {est.p:.12f}  (balance roots in [0, 1]: {est.roots})")
 
-# a full cubic: three real roots, only one of which attracts the balance
-# map; the solver reports all of them and picks the attracting one
+# a full cubic: two balance roots in [0, 1] (a third lies below 0), only
+# one of which attracts the balance map; the solver reports both and picks
+# the attracting one
 print()
 t = PayoffTable3(10, 4, 1, -2, -2, -4)
 est = balanced_p3(t)
-print("roots:", tuple(round(r, 6) for r in est.roots))
+print("roots in [0, 1]:", tuple(round(r, 6) for r in est.roots))
 print(f"attracting root: {est.p:.12f}")
 print("equiprobability gap:", equiprobability3(t).gap)
 

@@ -21,7 +21,7 @@ raises ``DomainError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -277,10 +277,7 @@ def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate
         raise InternalError(
             f"closed form {p!r} and generic solver {solved.p!r} disagree beyond 1e-12"
         )
-    return Estimate(
-        p=p, q=1.0 - p, method="balanced", class_used=solved.class_used,
-        roots=solved.roots, degenerate_branch=solved.degenerate_branch,
-    )
+    return replace(solved, p=p, q=1.0 - p)
 
 
 def diner_conjecture_test(

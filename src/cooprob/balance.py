@@ -104,7 +104,10 @@ def verify_table(
 
 
 def _objective(delta_p: float, delta_mu: float, target: BalanceTarget) -> float:
-    return (delta_p / target.p_tol) ** 2 + (delta_mu / target.mu_tol) ** 2
+    try:
+        return (delta_p / target.p_tol) ** 2 + (delta_mu / target.mu_tol) ** 2
+    except OverflowError:  # float ** raises where the square passes float64
+        return math.inf
 
 
 def balance_search(
@@ -157,7 +160,7 @@ def balance_search(
                 if not math.isfinite(cand[i]) or _tag2(*cand) is not tag0:
                     continue
                 try:
-                    p = _balance2(tag0, cand, policy)[0]
+                    p = _balance2(tag0, cand)[0]
                 except CooprobError:
                     continue
                 if not 0.0 <= p <= 1.0:

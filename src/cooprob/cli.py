@@ -150,7 +150,6 @@ def _estimate_payload(est: Estimate) -> dict:
     payload = {"p": est.p, "q": est.q, "method": est.method}
     payload.update(_class_payload(est.class_used))
     payload["roots"] = list(est.roots)
-    payload["degenerate_branch"] = est.degenerate_branch
     return payload
 
 
@@ -178,9 +177,7 @@ def _policy_from(args) -> NumericPolicy:
     policy_eps = _global_opt(args, "policy_eps")
     policy_tol = _global_opt(args, "policy_tol")
     if policy_eps is not None:
-        eps = _parse_number(policy_eps, "--policy-eps")
-        kwargs["eps_coeff"] = eps
-        kwargs["eps_root"] = eps
+        kwargs["eps_root"] = _parse_number(policy_eps, "--policy-eps")
     if policy_tol is not None:
         kwargs["fp_tol"] = _parse_number(policy_tol, "--policy-tol")
     return NumericPolicy(**kwargs)
@@ -472,7 +469,7 @@ def _add_globals(parser, suffix: str = "") -> None:
     )
     parser.add_argument(
         "--policy-eps", dest="policy_eps" + suffix, default=None,
-        help="override coefficient/root epsilon",
+        help="override the root-matching epsilon (eps_root)",
     )
     parser.add_argument(
         "--policy-tol", dest="policy_tol" + suffix, default=None,

@@ -317,10 +317,10 @@ def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
 _WIDE_SCALE = 2.0**1020
 
 
-def _balance2(tag: GameTag, values, policy: NumericPolicy):
-    """(p, s0, s1, w0, w1, tol): the balanced p of the payoffs ``values``
-    under class ``tag``, the weights at p = 0 and 1 it came from, and the
-    coefficient tolerance, both scaled by 1/8 on a wide payoff scale.
+def _balance2(tag: GameTag, values):
+    """(p, s0, s1, w0, w1): the balanced p of the payoffs ``values`` under
+    class ``tag``, and the weights at p = 0 and 1 it came from, scaled by
+    1/8 on a wide payoff scale.
 
     The whole rule of :func:`balanced_p` except the class and the reported
     roots; ``balance_search`` scores its neighbours with it. Raises as
@@ -328,14 +328,13 @@ def _balance2(tag: GameTag, values, policy: NumericPolicy):
     UnsupportedClassError for Unclassified, AmbiguousRootError.
     """
     scale = payoff_scale(values)
-    tol = policy.coeff_tol(scale)
     if tag is GameTag.UNCLASSIFIED:
         raise UnsupportedClassError("balanced_p requires a classified table")
     if scale > _WIDE_SCALE:
-        values, tol = tuple(v * 0.125 for v in values), tol * 0.125
+        values = tuple(v * 0.125 for v in values)
     s0, w0 = weights2(tag, *values, 0.0)
     s1, w1 = weights2(tag, *values, 1.0)
-    return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1, tol
+    return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1
 
 
 def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
@@ -348,23 +347,19 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
     quadratic; Stag Hunt gets p = 1 when (b-c)/(a-d) >= 1/2 and the interior
     attractor otherwise; Translators gets p = 0 (cooperation never pays).
 
-    ``roots`` lists every real root of the balance quadratic in power form,
+    ``roots`` lists both real roots of the balance quadratic in power form,
     k p^2 + (w0 + 2 s0 - s1) p - s0 with k = (w1 - w0) + (s1 - s0), where
-    (s, w) are the weights at p = 0 and 1. When |k| is within the policy's
-    coefficient tolerance, ``degenerate_branch`` is set and ``roots`` is (p,);
-    so ``eps_coeff`` changes those two fields and never p. Unclassified
-    tables raise UnsupportedClassError.
+    (s, w) are the weights at p = 0 and 1; where k is 0 it is (p,).
+    Unclassified tables raise UnsupportedClassError.
 
     ``_balanced_p_batch`` mirrors this function row by row over arrays of
     payoffs, bit for bit and with the same errors; a change here must be
     made there too.
     """
     cls = classify2(table)
-    p, s0, s1, w0, w1, tol = _balance2(cls.tag, table.values(), policy)
+    p, s0, s1, w0, w1 = _balance2(cls.tag, table.values())
     k = (w1 - w0) + (s1 - s0)
-    if abs(k) <= tol:
-        return Estimate(p, 1.0 - p, "balanced", cls, roots=(p,), degenerate_branch=True)
-    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0)
+    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0) if k else (p,)
     return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
 
 
@@ -397,7 +392,7 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     p = np.zeros(a.shape)
     fails = np.ones(a.shape, dtype=bool)  # until one of the classes claims the row
     with np.errstate(all="ignore"):
-        # coeff_tol refuses an infinite payoff scale, and a wide one is
+        # payoff_scale refuses an infinite payoff scale, and a wide one is
         # scaled by 1/8 before the weights are formed, as in balanced_p
         scale = payoffs.max(axis=0) - payoffs.min(axis=0)
         weighed = np.where(scale > _WIDE_SCALE, payoffs * 0.125, payoffs)
@@ -415,7 +410,7 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
                 s0, w0 = weights2(tag, *cols, 0.0)
                 s1, w1 = weights2(tag, *cols, 1.0)
                 p[rows], fails[rows] = _balance_root2_batch(s0, s1, w0, w1)
-    # PayoffTable2 refuses non-finite payoffs, coeff_tol an infinite payoff
+    # PayoffTable2 refuses non-finite payoffs, payoff_scale an infinite payoff
     # scale and Estimate a p outside [0, 1]
     fails |= ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))
     fails |= np.isinf(scale) | ~((0.0 <= p) & (p <= 1.0))

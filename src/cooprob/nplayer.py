@@ -5,10 +5,11 @@ Bernstein form, the roots of the balance polynomial in [0, 1] isolated by
 subdivision and refined by a port of Brent's method, and one root rule.
 Three-player tables and n-player ladders hand it the ladder gaps. The
 two-sided (asymmetric) game hands it, per side, that side's map composed
-with the other side's, whose weights are affine in p; each side's
-eliminated quadratic only fills the reported roots. A balance polynomial
-of degree 2, as there and for two-player ladders, goes to the closed form
-``estimators._balance_root2``, which also solves the five 2x2 classes.
+with the other side's, whose weights are affine in p. Every solver here
+reports as ``roots`` the balance roots in [0, 1] that the core found. A
+balance polynomial of degree 2, as there and for two-player ladders, goes
+to the closed form ``estimators._balance_root2``, which also solves the
+five 2x2 classes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NoValidRootError,
     UnsupportedClassError,
 )
-from .estimators import EquiprobabilityReport, Leaning, _balance_root2, _stable_quadratic_roots
+from .estimators import EquiprobabilityReport, Leaning, _balance_root2
 from .iteration import _fixed_point
 from .tables import (
     DEFAULT_POLICY,
@@ -66,22 +67,25 @@ class CubicCoefficients:
 
 
 def cubic_coefficients(table: PayoffTable3) -> CubicCoefficients:
-    """Coefficients of p (psi + omega) - psi = 0 expanded in p (descending)."""
+    """Coefficients of p (psi + omega) - psi = 0 expanded in p (descending);
+    DomainError where one of them overflows float64."""
     f, g, h, j, k, m = table.values()
-    return CubicCoefficients(
+    coeffs = CubicCoefficients(
         c3=f - g - 2.0 * h + 2.0 * j + k - m,
         c2=g + h - 3.0 * j - k + 2.0 * m,
         c1=-g + h + 2.0 * j - k - m,
         c0=k - j,
     )
+    if not all(map(math.isfinite, coeffs.as_tuple())):
+        raise DomainError("balance polynomial coefficients overflow float64")
+    return coeffs
 
 
+# no solver calls this; kept because bench/tracing.py wraps it by name
 def _real_roots(desc_coeffs: list[float], eps_root: float) -> list[float]:
     """Real roots of a polynomial given by descending coefficients."""
     if len(desc_coeffs) <= 1:
         return []
-    if not all(map(math.isfinite, desc_coeffs)):
-        raise DomainError("balance polynomial coefficients overflow float64")
     roots = np.roots(desc_coeffs).tolist()
     scale = max(map(abs, roots), default=1.0)
     return sorted(r.real for r in roots if abs(r.imag) <= eps_root * max(1.0, scale))
@@ -94,20 +98,14 @@ def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> 
     allowed, and p comes from the ladder solver of :func:`balanced_pn`. Root
     rule: a lone root in [0, 1] wins, else the lone attracting one (map slope
     below 1 in magnitude), else the attracting root iteration from 1/2
-    converges to; anything else raises ``AmbiguousRootError``. The cubic in
-    power form only fills ``roots`` and ``degenerate_branch``, so
-    ``eps_coeff`` changes those two fields and never p.
+    converges to; anything else raises ``AmbiguousRootError``. ``roots``
+    lists every balance root in [0, 1], as :func:`balanced_pn` does.
     """
     cls = classify3(table)
     if cls.tag is not GameTag.PRISONERS_DILEMMA:
         raise UnsupportedClassError("balanced_p3 requires the dilemma chain f>=g>=h>=j>=k>=m")
-    p, _ = _ladder_root(list(table.values()), policy)
-    desc = list(cubic_coefficients(table).as_tuple())
-    tol = policy.coeff_tol(payoff_scale(table.values()))
-    while len(desc) > 1 and abs(desc[0]) <= tol:
-        desc.pop(0)
-    roots = tuple(_real_roots(desc, policy.eps_root))
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=roots, degenerate_branch=len(desc) < 4)
+    p, roots = _ladder_root(list(table.values()), policy)
+    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots))
 
 
 def equiprobability3(table: PayoffTable3) -> EquiprobabilityReport:
@@ -139,18 +137,14 @@ def expected_payoff3(table: PayoffTable3, p: float) -> float:
     return p**3 * g + q**3 * k + p * p * q * (f + 2.0 * j) + p * q * q * (2.0 * h + m)
 
 
-def _side_roots(own, other, tol: float) -> tuple[tuple[float, ...], bool]:
-    """Real roots, ascending, of the side quadratic in one side's p, primes
-    marking the other side: p^2 (b-d) K' + p [K F' - K' F + (b-d)(b'-d')] - F (b'-d'),
-    and whether K' is at most tol in magnitude, leaving the linear form."""
-    (a, b, c, d), (a2, b2, c2, d2) = own, other
-    k, f, bd, k2, f2, bd2 = a - b - c + d, b - c, b - d, a2 - b2 - c2 + d2, b2 - c2, b2 - d2
-    qa, qb, qc = bd * k2, k * f2 - k2 * f + bd * bd2, -f * bd2
-    if abs(k2) > tol and qa != 0.0:
-        return _stable_quadratic_roots(qa, qb, qc), False
-    if qb == 0.0:
-        raise DegenerateWeightsError("side balance polynomial vanished identically")
-    return (-qc / qb,), True
+def _products(pairs) -> list[float]:
+    """Products u v of pairs of gaps from mantissas and exponents, shifted by one
+    even power of two to put the largest below 1: in range unless they span more
+    than float64 holds, and the square roots in ``_balance_root2`` shift exactly."""
+    parts = [(mu * mv, eu + ev) for (mu, eu), (mv, ev) in (map(math.frexp, pair) for pair in pairs)]
+    top = max(e for m, e in parts if m)
+    top += top & 1
+    return [math.ldexp(m, e - top) for m, e in parts]
 
 
 def balanced_p_asym(
@@ -164,27 +158,25 @@ def balanced_p_asym(
     side, the weights psi = F (F' + chi'(p)) and omega = F' (a - b) + chi'(p) (c - d)
     are affine in p and nonnegative. The root rule is that of :func:`balanced_p3`;
     a composed Moebius map has at most one attracting fixed point, so no
-    iteration runs. ``roots`` lists every real root of each side's eliminated quadratic.
+    iteration runs. ``roots`` lists each side's balance roots in [0, 1]. A
+    side whose payoff scale overflows float64 raises DomainError.
     """
     sides = table.side_x(), table.side_y()
     classes = [classify2(side) for side in sides]
     if any(cls.tag is not GameTag.PRISONERS_DILEMMA for cls in classes):
         raise UnsupportedClassError("both sides must classify PrisonersDilemma")
     x, y = (side.values() for side in sides)
-    scale = payoff_scale(x + y)
-    tol = policy.coeff_tol(scale)
-    # scaling by a power of two is exact, so no bit of p changes, and products of gaps stay in range
-    e = math.frexp(scale)[1]
-    x, y = tuple(math.ldexp(v, -e) for v in x), tuple(math.ldexp(v, -e) for v in y)
+    for values in x, y:
+        payoff_scale(values)  # every gap within a side is finite where its scale is
     estimates = []
     for own, other, cls in ((x, y, classes[0]), (y, x, classes[1])):
         (a, b, c, d), (a2, b2, c2, d2) = own, other
         # F' + chi' is b' - d' at p = 0 and a' - c' at p = 1
-        f, fab, cd = b - c, (b2 - c2) * (a - b), c - d
-        wpsi, womega = [f * (b2 - d2), f * (a2 - c2)], [fab + (c2 - d2) * cd, fab + (a2 - b2) * cd]
-        p = _balance_root(wpsi, womega, policy)[0]
-        roots, degenerate = _side_roots(own, other, math.ldexp(tol, -e))
-        estimates.append(Estimate(p, 1.0 - p, "balanced", cls, roots=roots, degenerate_branch=degenerate))
+        f, cd = b - c, c - d
+        pairs = (f, b2 - d2), (f, a2 - c2), (b2 - c2, a - b), (c2 - d2, cd), (a2 - b2, cd)
+        psi0, psi1, fab, cd0, cd1 = _products(pairs)
+        p, roots = _balance_root([psi0, psi1], [fab + cd0, fab + cd1], policy)
+        estimates.append(Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots)))
     return estimates[0], estimates[1]
 
 

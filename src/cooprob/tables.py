@@ -179,38 +179,24 @@ class AsymmetricTable2:
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances governing coefficient degeneracy, roots, and iteration.
+    """Tolerances governing roots and iteration.
 
-    ``eps_coeff`` is relative: a polynomial coefficient counts as zero when
-    its magnitude is at most ``eps_coeff`` times the largest absolute payoff
-    difference of the table it came from. It sets only the reported
-    ``roots`` and ``degenerate_branch``, never p. ``eps_root`` is the
-    imaginary-part tolerance for the reported roots of the 3-player cubic and
-    the distance within which the oracle's limit must match an attracting
-    root; no solver widens [0, 1] by it. ``fp_tol`` and ``fp_max_iter``
-    control fixed-point iteration.
+    ``eps_root`` is the distance within which the oracle's limit must match
+    an attracting root; no solver widens [0, 1] by it. ``fp_tol`` and
+    ``fp_max_iter`` control fixed-point iteration.
     """
 
-    eps_coeff: float = 1e-12
     eps_root: float = 1e-9
     fp_tol: float = 1e-12
     fp_max_iter: int = 10**6
 
     def __post_init__(self) -> None:
-        if not (self.eps_coeff >= 0 and math.isfinite(self.eps_coeff)):
-            raise DomainError("eps_coeff must be finite and nonnegative")
         if not (self.eps_root >= 0 and math.isfinite(self.eps_root)):
             raise DomainError("eps_root must be finite and nonnegative")
         if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
             raise DomainError("fp_tol must be finite and positive")
         if self.fp_max_iter < 1:
             raise DomainError("fp_max_iter must be at least 1")
-
-    def coeff_tol(self, scale: float) -> float:
-        """Absolute zero-threshold for coefficients at the given payoff scale."""
-        if not math.isfinite(scale):
-            raise DomainError(f"payoff scale {scale!r} (max - min) overflows float64")
-        return self.eps_coeff * scale if scale > 0 else self.eps_coeff
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -221,12 +207,10 @@ class Estimate:
     """A cooperation-probability estimate.
 
     ``q`` is stored as ``1 - p`` exactly as computed. ``roots`` carries the
-    real roots of the balance polynomial (ascending): all of them, also those
-    outside [0, 1], except from ``balanced_pn``, which lists those in [0, 1].
-    ``degenerate_branch`` is set when a leading coefficient of the balance
-    polynomial is zero within the policy's ``eps_coeff``; ``roots`` then
-    holds the roots of the reduced-degree form, and the two-player solver
-    reports (p,). p itself never depends on it.
+    balance roots, ascending. The n-player solvers list every root in [0, 1]
+    that the balance core found, p among them; ``balanced_p`` lists both
+    real roots of its quadratic, also those outside [0, 1], or (p,) where
+    the quadratic is linear.
     """
 
     p: float
@@ -234,7 +218,6 @@ class Estimate:
     method: str
     class_used: GameClass
     roots: tuple[float, ...] = ()
-    degenerate_branch: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
@@ -242,8 +225,12 @@ class Estimate:
 
 
 def payoff_scale(values: tuple[float, ...]) -> float:
-    """Largest absolute pairwise payoff difference (max minus min)."""
-    return max(values) - min(values)
+    """Largest absolute pairwise payoff difference (max minus min); DomainError
+    where it overflows float64."""
+    scale = max(values) - min(values)
+    if not math.isfinite(scale):
+        raise DomainError(f"payoff scale {scale!r} (max - min) overflows float64")
+    return scale
 
 
 def _tag2(a: float, b: float, c: float, d: float) -> GameTag:

@@ -499,7 +499,7 @@ def test_attrition_dispatch_across_the_class_seams_is_the_per_pair_reference(x, 
     boundary = classify2(attrition_table2(spec, int(x) // 2, 0))
     assert boundary.tag is GameTag.PRISONERS_DILEMMA and boundary.boundary_flags == {"c=d"}
     seam = balanced_p(attrition_table2(spec, int(x), 0))
-    assert seam.class_used.tag is GameTag.CHICKEN and seam.degenerate_branch
+    assert seam.class_used.tag is GameTag.CHICKEN and seam.roots == (seam.p,)
     weights = _dispatch_reference(spec)
     _assert_matches_loop(
         attrition_distribution(spec, mode="dispatch"), weights, float(np.sum(weights))
@@ -520,15 +520,13 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
 
 
 def test_attrition_dispatch_cli_policy_reaches_the_batch_solver(capsys):
-    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001: quadratic under
-    # the default tolerance, degenerate under --policy-eps 1e-3, which changes
-    # the reported fields and never p
+    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-eps
+    # 1e-3 sets eps_root, which the closed form does not use
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
     spec = AttritionSpec(x=8.001, max_bid=10)
-    assert balanced_p(attrition_table2(spec, 8, 0), NumericPolicy(eps_coeff=1e-3)).degenerate_branch
     rendered = [
         [float(f"{w:.12g}") for w in _dispatch_reference(spec, policy)]
-        for policy in (NumericPolicy(eps_coeff=1e-3, eps_root=1e-3), NumericPolicy())
+        for policy in (NumericPolicy(eps_root=1e-3), NumericPolicy())
     ]
     assert rendered[0] == rendered[1]
     for extra, want in zip((["--policy-eps", "1e-3"], []), rendered):

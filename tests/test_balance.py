@@ -12,7 +12,6 @@ from cooprob import (
     DomainError,
     GameTag,
     InvalidTableError,
-    NumericPolicy,
     PayoffTable2,
     PayoffTable3,
     balance,
@@ -195,9 +194,8 @@ def _assert_same_search(*args, **kwargs):
     return got
 
 
-@pytest.mark.parametrize("policy", [DEFAULT_POLICY, NumericPolicy(eps_coeff=0.0)])
-def test_balance_search_is_the_per_neighbour_loop(policy):
-    results = [_assert_same_search(*job, policy=policy) for job in _search_jobs(5, 150)]
+def test_balance_search_is_the_per_neighbour_loop():
+    results = [_assert_same_search(*job) for job in _search_jobs(5, 150)]
     assert {r.report.game_class.tag for r in results} == set(CLASS_PATTERNS)
     assert any(r.report.game_class.is_boundary for r in results)
     assert any(r.met_target for r in results)
@@ -220,11 +218,15 @@ def test_balance_search_is_the_per_neighbour_loop(policy):
     ],
 )
 def test_balance_search_is_the_per_neighbour_loop_at_the_edges(start, target, step, max_iters, integer_mode):
-    for policy in (DEFAULT_POLICY, NumericPolicy(eps_coeff=0.0)):
-        result = _assert_same_search(
-            PayoffTable2(*start), BalanceTarget(*target), step, max_iters, integer_mode, policy
-        )
-        assert result.iterations >= 1
+    result = _assert_same_search(PayoffTable2(*start), BalanceTarget(*target), step, max_iters, integer_mode)
+    assert result.iterations >= 1
+
+
+def test_balance_search_scores_an_overflowing_objective_as_infinite():
+    # (delta_mu / mu_tol) ** 2 = (1e150 / 1e-10) ** 2 passes float64, and float ** raises
+    result = balance_search(PayoffTable2(1e300, 1, 0, -1), BalanceTarget(0.5, 0.0, 0.01, 1e-10))
+    assert result.stalled and not result.met_target
+    assert result.report.mu_computed == 1e150
 
 
 def test_balance_search_builds_tables_only_for_its_result(monkeypatch):

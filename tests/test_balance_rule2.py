@@ -101,7 +101,6 @@ SAMPLES = {
 def test_balanced_p_is_the_old_class_formula(sample):
     rows = _classified(SAMPLES[sample]())
     assert len(rows) > 1000
-    exact = NumericPolicy(eps_coeff=0.0)  # the old linear forms only where k = 0
     for row in rows:
         a, b, c, d = row
         est = balanced_p(PayoffTable2(*row))
@@ -110,23 +109,21 @@ def test_balanced_p_is_the_old_class_formula(sample):
             # an old form that lost digits, as b + 2d - 3c does in Chicken
             # when d - c is one ulp; high precision settles it
             assert est.p == pytest.approx(mp_balance_root(*row), rel=1e-15, abs=0.0), row
-        assert balanced_p(PayoffTable2(*row), exact).p == est.p
 
 
 @pytest.mark.parametrize("sample", sorted(SAMPLES))
 def test_balanced_p_reports_the_old_class_roots(sample):
-    policy = NumericPolicy()
     for row in _classified(SAMPLES[sample]()):
         a, b, c, d = row
         scale = max(row) - min(row)
-        tol = policy.coeff_tol(scale)
-        est = balanced_p(PayoffTable2(*row), policy)
-        _, roots, degenerate = old_balanced_p(a, b, c, d, tol)
+        est = balanced_p(PayoffTable2(*row))
+        _, roots, degenerate = old_balanced_p(a, b, c, d, 0.0)
         mixed = est.class_used.tag in (GameTag.CHICKEN, GameTag.BATTLE_OF_SEXES, GameTag.STAG_HUNT)
         k = abs(a - b + c - d) if mixed else abs(a - b - c + d)
-        if abs(k - tol) <= 1e-14 * scale:
-            continue  # k is tol within rounding: either flag is right
-        assert est.degenerate_branch == degenerate, row
+        linear = len(est.roots) == 1
+        if k <= 1e-14 * scale and linear != degenerate:
+            continue  # k is 0 within rounding: either form is right
+        assert linear == degenerate, row
         if degenerate:
             assert est.roots == (est.p,)
             continue
@@ -140,11 +137,10 @@ def test_translators_reports_both_real_roots():
     assert est.p == 0.0
     assert est.roots == (0.0, 4.0)
     assert math.copysign(1.0, est.roots[0]) == 1.0
-    assert not est.degenerate_branch
     # a - b - c + d = 0: the quadratic term vanishes
     flat = balanced_p(PayoffTable2(6, 3, 4, 1))
     assert flat.class_used.tag is GameTag.TRANSLATORS
-    assert flat.degenerate_branch and flat.roots == (0.0,)
+    assert flat.roots == (0.0,)
 
 
 def test_a_double_root_at_one_is_reported_not_refused():
@@ -154,14 +150,6 @@ def test_a_double_root_at_one_is_reported_not_refused():
     est = balanced_p(table)
     assert est.p == pytest.approx(1.0, abs=1e-7)
     assert est.roots == pytest.approx((1.0, 1.0), abs=1e-7)
-
-
-def test_eps_coeff_changes_only_the_reported_fields():
-    table = PayoffTable2(9, 8, 5, 2)
-    tight, loose = balanced_p(table), balanced_p(table, NumericPolicy(eps_coeff=0.5, eps_root=0.5))
-    assert loose.p == tight.p == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, abs=1e-15)
-    assert (tight.degenerate_branch, loose.degenerate_branch) == (False, True)
-    assert loose.roots == (loose.p,) and len(tight.roots) == 2
 
 
 # --------------------------------------------- 40-digit mpmath references
@@ -300,7 +288,6 @@ def test_balanced_p_reports_roots_its_coefficients_span_past_float64():
     want = [float(r) for r in _mp_quadratic_roots(mp, 1e300, 1e-300, -1e-300)]
     assert est.roots == pytest.approx(want, rel=1e-15, abs=0.0)
     assert est.roots[1] == pytest.approx(1e-300, rel=1e-15, abs=0.0)
-    assert est.p == balanced_p(PayoffTable2(1e300, 1e-300, 0.0, 0.0), NumericPolicy(eps_coeff=0.5)).p
 
 
 def test_stable_quadratic_roots_across_float64():

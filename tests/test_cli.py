@@ -66,7 +66,8 @@ def test_estimate_balanced_payload():
     assert env["command"] == "estimate"
     assert env["result"]["p"] == 0.99
     assert env["result"]["class"] == "prisoners-dilemma"
-    assert env["result"]["degenerate_branch"] is True
+    assert env["result"]["roots"] == [0.99]  # the quadratic coefficient is 0
+    assert "degenerate_branch" not in env["result"]
     assert env["warnings"] == []
 
 
@@ -203,7 +204,7 @@ def test_csv_carries_the_same_numbers_as_json():
     assert float(flat["result.p"]) == env["result"]["p"]
     assert float(flat["result.q"]) == env["result"]["q"]
     assert float(flat["result.roots.1"]) == env["result"]["roots"][1]
-    assert flat["result.degenerate_branch"] == "false"
+    assert "result.degenerate_branch" not in flat
 
 
 def test_text_format_includes_percent_echo():
@@ -221,13 +222,18 @@ def test_global_flags_accepted_before_and_after_subcommand():
 
 
 def test_policy_flags_change_the_numeric_policy():
-    # a huge coefficient epsilon counts the quadratic coefficient as zero,
-    # which shows in the reported fields; p stays the balance root
-    loose = run_json("estimate", "--table", "9,8,5,2", "--policy-eps", "0.5")
-    assert loose["result"]["degenerate_branch"] is True
-    tight = run_json("estimate", "--table", "9,8,5,2")
-    assert tight["result"]["degenerate_branch"] is False
-    assert loose["result"]["p"] == tight["result"]["p"] == pytest.approx(0.6339745962155614, abs=1e-12)
+    # two attracting roots, so the oracle picks one; stopped early by a loose
+    # --policy-tol, its limit matches a root only within a loose --policy-eps
+    table = ("estimate3", "--table", "39,38,28,27,26,1")
+    assert run_cli(*table, "--policy-tol", "1e-3").returncode == 3
+    loose = run_json(*table, "--policy-tol", "1e-3", "--policy-eps", "1e-2")
+    tight = run_json(*table)
+    assert loose["result"]["p"] == tight["result"]["p"] == pytest.approx(0.06940133328365998, abs=1e-12)
+    assert len(tight["result"]["roots"]) == 3
+    # the 2x2 closed form uses no tolerance
+    assert run_json("estimate", "--table", "9,8,5,2", "--policy-eps", "0.5") == run_json(
+        "estimate", "--table", "9,8,5,2"
+    )
 
 
 # ------------------------------------------------------------- exit codes

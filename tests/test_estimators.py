@@ -52,7 +52,7 @@ def test_balanced_p_dilemma_quadratic(table, expected):
     est = balanced_p(PayoffTable2(*table))
     assert est.class_used.tag is GameTag.PRISONERS_DILEMMA
     assert est.method == "balanced"
-    assert not est.degenerate_branch
+    assert len(est.roots) == 2
     assert est.p == pytest.approx(expected, abs=1e-12)
     assert est.q == pytest.approx(1.0 - expected, abs=1e-12)
 
@@ -60,11 +60,11 @@ def test_balanced_p_dilemma_quadratic(table, expected):
 def test_balanced_p_dilemma_linear_fallback():
     # a - b - c + d = 0 kills the quadratic term; the linear form takes over
     est = balanced_p(PayoffTable2(101, 100, 1, 0))
-    assert est.degenerate_branch
+    assert est.roots == (est.p,)
     assert est.p == 0.99
 
     est = balanced_p(PayoffTable2(9, 7, 3, 1))
-    assert est.degenerate_branch
+    assert est.roots == (est.p,)
     assert est.p == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
@@ -85,11 +85,11 @@ def test_balanced_p_keeps_all_real_roots():
 def test_balanced_p_chicken():
     degen = balanced_p(PayoffTable2(4, 3, 0, 1))
     assert degen.class_used.tag is GameTag.CHICKEN
-    assert degen.degenerate_branch
+    assert degen.roots == (degen.p,)
     assert degen.p == pytest.approx(0.8, abs=1e-15)
 
     est = balanced_p(PayoffTable2(7, 3, 0, 2))
-    assert not est.degenerate_branch
+    assert len(est.roots) == 2
     assert est.p == pytest.approx((-7.0 + math.sqrt(89.0)) / 4.0, abs=1e-12)
 
 
@@ -126,10 +126,7 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize(
-    "policy", [NumericPolicy(), NumericPolicy(eps_coeff=1e-3)], ids=["default", "eps_coeff=1e-3"]
-)
-def test_balanced_p_batch_is_bitwise_the_scalar_path(policy):
+def test_balanced_p_batch_is_bitwise_the_scalar_path():
     rng = np.random.default_rng(0)
     draws = np.concatenate(
         (
@@ -142,13 +139,14 @@ def test_balanced_p_batch_is_bitwise_the_scalar_path(policy):
         )
     )
     rows = [r for r in draws.tolist() if classify2(PayoffTable2(*r)).tag is not GameTag.UNCLASSIFIED]
-    ests = [balanced_p(PayoffTable2(*r), policy) for r in rows]
-    got = _balanced_p_batch(*np.array(rows).T, policy)
+    ests = [balanced_p(PayoffTable2(*r)) for r in rows]
+    got = _balanced_p_batch(*np.array(rows).T)
     assert np.array_equal(_bits(got), _bits([e.p for e in ests]))
     tags = {e.class_used.tag for e in ests}
     assert tags == set(GameTag) - {GameTag.UNCLASSIFIED}
-    linear = {e.class_used.tag for e in ests if e.degenerate_branch}
-    assert {GameTag.PRISONERS_DILEMMA, GameTag.CHICKEN, GameTag.BATTLE_OF_SEXES} <= linear
+    # k = a - b + c - d > 0 on every BattleOfSexes table, so it never drops to linear
+    linear = {e.class_used.tag for e in ests if len(e.roots) == 1}
+    assert {GameTag.PRISONERS_DILEMMA, GameTag.CHICKEN} <= linear
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from cooprob import (
     cubic_coefficients,
     diner_ladder,
     equiprobability3,
+    estimators,
     expected_payoff3,
     iterate_asym,
     iteration,
@@ -63,7 +64,7 @@ def test_cubic_coefficients(table, coeffs):
 def test_balanced_p3_linear_degeneration():
     est = balanced_p3(PayoffTable3(10, 8, 7, 5, 4, 2))
     assert est.p == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert est.degenerate_branch  # cubic collapsed below degree 3
+    assert est.roots == (est.p,)  # the cubic collapsed to 3 p - 1
     mu = expected_payoff3(PayoffTable3(10, 8, 7, 5, 4, 2), est.p)
     assert mu == pytest.approx(16.0 / 3.0, abs=1e-12)
 
@@ -71,7 +72,7 @@ def test_balanced_p3_linear_degeneration():
 def test_balanced_p3_quadratic_degeneration():
     est = balanced_p3(PayoffTable3(9, 8, 7, 6, 3, 2))
     assert est.p == pytest.approx((3.0 - SQRT3) / 2.0, abs=1e-12)
-    assert est.degenerate_branch
+    assert est.roots == (est.p,)  # the other root, (3 + sqrt(3)) / 2, lies past 1
 
 
 def test_balanced_p3_full_cubic_picks_attracting_root():
@@ -79,8 +80,7 @@ def test_balanced_p3_full_cubic_picks_attracting_root():
     # a genuine balance root but repels the iteration, so it must lose
     est = balanced_p3(PayoffTable3(10, 4, 1, -2, -2, -4))
     assert est.p == pytest.approx((-5.0 + math.sqrt(33.0)) / 4.0, abs=1e-12)
-    assert not est.degenerate_branch
-    assert 0.0 in est.roots
+    assert est.roots == (0.0, est.p)
     assert est.class_used.boundary_flags == frozenset({"j=k"})
 
 
@@ -241,21 +241,20 @@ def test_asym_matches_the_alternating_iteration_on_random_tables():
         assert abs(ey.p * (ex.p * (ay - by - cy + dy) + by - dy) - (by - cy)) <= 1e-12 * scale
 
 
-def test_asym_reports_the_real_roots_of_each_side_quadratic():
+def test_asym_reports_the_roots_in_the_unit_interval_of_each_side_quadratic():
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         # every fourth draw: the 40-digit root finder takes about 1 ms a quadratic
         for table in _two_sided_draws()[::4]:
             x, y = table.side_x().values(), table.side_y().values()
-            tol = 1e-12 * (max(x + y) - min(x + y))
             for est, (a, b, c, d), (a2, b2, c2, d2) in zip(balanced_p_asym(table), (x, y), (y, x)):
                 a, b, c, d, a2, b2, c2, d2 = map(mp.mpf, (a, b, c, d, a2, b2, c2, d2))
                 k, k2 = a - b - c + d, a2 - b2 - c2 + d2
                 quad = [(b - d) * k2, k * (b2 - c2) - k2 * (b - c) + (b - d) * (b2 - d2), -(b - c) * (b2 - d2)]
-                if abs(k2) <= tol:
+                if k2 == 0:
                     quad.pop(0)
-                want = sorted(mp.re(r) for r in mp.polyroots(quad, maxsteps=50, extraprec=30) if abs(mp.im(r)) <= 1e-30)
-                assert est.degenerate_branch == (len(quad) == 2)
+                roots = mp.polyroots(quad, maxsteps=50, extraprec=30)
+                want = sorted(mp.re(r) for r in roots if abs(mp.im(r)) <= 1e-30 and -1e-30 <= mp.re(r) <= 1 + 1e-30)
                 assert len(est.roots) == len(want)
                 assert list(est.roots) == sorted(est.roots)
                 for got, ref in zip(est.roots, want):
@@ -274,14 +273,13 @@ def test_asym_runs_no_oracle(monkeypatch):
 
 
 def test_asym_of_a_tiny_cooperation_gain_keeps_its_side_roots():
-    # b - c = 2^-126: every side coefficient is below eps_coeff * scale, which
-    # once dropped them all; the test of K' keeps the quadratic
+    # b - c = 2^-126: every side coefficient is below 1e-12 of the payoff
+    # scale, which once dropped them all
     t = (1.0, 2.0**-126, 0.0, 0.0)
     sym = balanced_p(PayoffTable2(*t))
     for est in balanced_p_asym(AsymmetricTable2(*t, *t)):
         assert est.p == pytest.approx(sym.p, abs=1e-15)
-        assert not est.degenerate_branch
-        assert est.roots == pytest.approx(sym.roots, rel=1e-15)
+        assert est.roots == pytest.approx([r for r in sym.roots if 0.0 <= r <= 1.0], rel=1e-15)
 
 
 def test_asym_refuses_a_payoff_scale_past_float64():
@@ -298,21 +296,26 @@ def test_asym_products_of_gaps_stay_in_float64_range():
     ex, ey = balanced_p_asym(table)
     ox, oy = iterate_asym(table).limit
     assert ex.p == pytest.approx(ox, abs=1e-15) and ey.p == pytest.approx(oy, abs=1e-12)
-    # side y: -2e200 p^2 + 4e200 p - 1e200, roots 1 -+ sqrt(1/2)
-    assert ey.roots == pytest.approx((1 - math.sqrt(0.5), 1 + math.sqrt(0.5)), rel=1e-15)
+    # side y: -2e200 p^2 + 4e200 p - 1e200, roots 1 -+ sqrt(1/2), the second past 1
+    assert ey.roots == pytest.approx((1 - math.sqrt(0.5),), rel=1e-15)
+    # gaps from 1e-198 to 1e294: scaled with the payoffs, the small ones underflowed
+    # and p_y read 0.0; a 60-digit mpmath solve gives p_x = 1 and this p_y
+    ex, ey = balanced_p_asym(AsymmetricTable2(2.67e198, 3, -3.79e-198, -6.81e-127, 8.70e293, 2, -2, -1.98e106))
+    assert ex.p == 1.0 and ey.p == pytest.approx(4.5977011494252872e-294, rel=1e-15)
 
 
-@pytest.mark.parametrize(
-    "values, what",
-    [
-        ((1.7e308, 1e308, 0, -1e308, -1.5e308, -1.7e308), "balance weights"),
-        # finite ladder weights, but 2 h and 2 j in the cubic overflow
-        ((1e308, 0.95e308, 0.95e308, 0.9e308, 0, 0), "balance polynomial coefficients"),
-    ],
-)
-def test_balanced_p3_refuses_float64_overflow(values, what):
-    with pytest.raises(DomainError, match=f"^{what} overflows? float64"):
-        balanced_p3(PayoffTable3(*values))
+def test_balanced_p3_refuses_float64_overflow():
+    with pytest.raises(DomainError, match="^balance weights overflow float64"):
+        balanced_p3(PayoffTable3(1.7e308, 1e308, 0, -1e308, -1.5e308, -1.7e308))
+
+
+def test_cubic_coefficients_refuse_float64_overflow():
+    # finite ladder weights, but 2 h and 2 j in the cubic overflow; the
+    # ladder form answers the table (mpmath: 0.79440746598132823)
+    table = PayoffTable3(1e308, 0.95e308, 0.95e308, 0.9e308, 0, 0)
+    with pytest.raises(DomainError, match="^balance polynomial coefficients overflow float64"):
+        cubic_coefficients(table)
+    assert balanced_p3(table).p == pytest.approx(0.79440746598132823, rel=1e-15)
 
 
 # ----------------------------------------------------------------- ladders
@@ -595,3 +598,89 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------- reported roots
+
+
+def _mp_unit_roots(mp, ascending):
+    """Real roots in [0, 1], ascending, of a polynomial given by ascending coefficients."""
+    coeffs = list(ascending)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return []
+    roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=60)
+    return sorted(mp.re(r) for r in roots if abs(mp.im(r)) <= 1e-25 and -1e-25 <= mp.re(r) <= 1 + 1e-25)
+
+
+def _mp_ladder_h(mp, ladder):
+    """Ascending coefficients of h = p omega - q psi for a ladder
+    (D_1, C_0, ..., D_n, C_(n-1)), psi and omega as in psi_omega_coeffs."""
+    vals = [mp.mpf(v) for v in ladder]
+    n = len(vals) // 2
+    d, c = vals[0::2], vals[1::2]  # d[i] = D_(i+1), c[i] = C_i
+
+    def bernstein(m, weight):
+        # sum_i C(m, i) p^(m-i) q^i weight(i), expanded in powers of p
+        out = [mp.mpf(0)] * (m + 1)
+        for i in range(m + 1):
+            for r in range(i + 1):  # q^i = sum_r C(i, r) (-p)^r
+                out[m - i + r] += mp.binomial(m, i) * mp.binomial(i, r) * (-1) ** r * weight(i)
+        return out
+
+    psi = bernstein(n - 2, lambda i: c[i] - d[i + 1]) + [0, 0]
+    omega = bernstein(n - 1, lambda j: d[j] - c[j]) + [0]
+    return [(omega[k - 1] if k else 0) - psi[k] + (psi[k - 1] if k else 0) for k in range(n + 1)]
+
+
+def _mp_side_h(mp, own, other):
+    """Ascending coefficients of h = p omega - q psi for one side of a
+    two-sided table, with the weights of balanced_p_asym."""
+    (a, b, c, d), (a2, b2, c2, d2) = ([mp.mpf(v) for v in side] for side in (own, other))
+    s0, s1 = (b - c) * (b2 - d2), (b - c) * (a2 - c2)
+    w0, w1 = (b2 - c2) * (a - b) + (c2 - d2) * (c - d), (b2 - c2) * (a - b) + (a2 - b2) * (c - d)
+    return [-s0, w0 + 2 * s0 - s1, (w1 - w0) + (s1 - s0)]
+
+
+def _assert_reports_the_unit_roots(est, want):
+    assert list(est.roots) == sorted(est.roots)
+    assert est.p.hex() in [r.hex() for r in est.roots]
+    assert len(est.roots) == len(want), (est.roots, want)
+    for got, ref in zip(est.roots, want):
+        assert abs(got - ref) <= 1e-12, (est.roots, want)
+
+
+def test_solvers_report_every_balance_root_in_the_unit_interval():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    # 0 is a repelling root of the first; the cubic put 0.5000000000000001
+    # beside p = 0.5 for the second; the last has three roots, two attracting
+    chains = [(10, 4, 1, -2, -2, -4), (13, 8, 7, 6, 3, 2), (10, 8, 7, 5, 4, 2), (39, 38, 28, 27, 26, 1)]
+    chains += [np.sort(rng.uniform(0, 10, 6))[::-1].tolist() for _ in range(100)]
+    ladders = [_ladder(rng, n) for n in range(2, 8) for _ in range(15)]
+    with mp.workdps(40):
+        assert balanced_p3(PayoffTable3(*chains[0])).roots[0] == 0.0
+        for chain in chains:
+            _assert_reports_the_unit_roots(balanced_p3(PayoffTable3(*chain)), _mp_unit_roots(mp, _mp_ladder_h(mp, chain)))
+        for ladder in ladders:
+            _assert_reports_the_unit_roots(balanced_pn(ladder), _mp_unit_roots(mp, _mp_ladder_h(mp, ladder)))
+        for table in _two_sided_draws()[::20]:
+            x, y = table.side_x().values(), table.side_y().values()
+            for est, own, other in zip(balanced_p_asym(table), (x, y), (y, x)):
+                _assert_reports_the_unit_roots(est, _mp_unit_roots(mp, _mp_side_h(mp, own, other)))
+
+
+def test_the_scalar_solvers_call_no_numpy(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
+
+    for module in (estimators, iteration, nplayer):
+        monkeypatch.setattr(module, "np", NoNumpy())
+    assert balanced_p(PayoffTable2(9, 8, 5, 2)).p == pytest.approx((3.0 - SQRT3) / 2.0, abs=1e-15)
+    assert balanced_p3(PayoffTable3(10, 4, 1, -2, -2, -4)).roots == pytest.approx((0.0, 0.18614066163450715), abs=1e-15)
+    chain = (39, 38, 28, 27, 26, 1)  # two attracting roots: the oracle runs
+    assert balanced_p3(PayoffTable3(*chain)).p == balanced_pn(chain).p == pytest.approx(0.06940133328365998, abs=1e-12)
+    ex, ey = balanced_p_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2))
+    assert (ex.p, ey.p) == pytest.approx((0.36832267997260637, 0.5699786932785461), abs=1e-12)

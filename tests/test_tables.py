@@ -6,6 +6,7 @@ import pytest
 
 from cooprob import (
     AsymmetricTable2,
+    DomainError,
     GameTag,
     InvalidTableError,
     NumericPolicy,
@@ -102,16 +103,14 @@ def test_asymmetric_table_sides():
 def test_payoff_scale():
     assert payoff_scale((9, 8, 5, 2)) == 7.0
     assert payoff_scale((3, 3, 3, 3)) == 0.0
+    with pytest.raises(DomainError, match=r"^payoff scale inf \(max - min\) overflows float64$"):
+        payoff_scale((1e308, -1e308))
 
 
 def test_numeric_policy_defaults_and_validation():
     policy = NumericPolicy()
-    assert policy.eps_coeff == 1e-12
     assert policy.eps_root == 1e-9
     assert policy.fp_tol == 1e-12
     assert policy.fp_max_iter == 10**6
-    # coefficient tolerance is relative to the payoff scale
-    assert policy.coeff_tol(100.0) == pytest.approx(1e-10)
-    assert policy.coeff_tol(0.0) == pytest.approx(1e-12)
     with pytest.raises(Exception):
-        NumericPolicy(eps_coeff=-1.0)
+        NumericPolicy(eps_root=-1.0)
