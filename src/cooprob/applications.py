@@ -34,7 +34,6 @@ from .tables import (
     NumericPolicy,
     PayoffTable2,
     PayoffTable3,
-    classify2,
 )
 
 __all__ = [
@@ -266,7 +265,7 @@ def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate
     disagreement beyond 1e-12 would mean a mapping bug.
     """
     if spec.n == 2:
-        solved = balanced_p(diner_table2(spec), policy)
+        solved = balanced_p(diner_table2(spec))
         p = 2.0 - 2.0 / spec.r_cb
     elif spec.n == 3:
         solved = balanced_p3(diner_table3(spec), policy)
@@ -277,7 +276,7 @@ def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate
         raise InternalError(
             f"closed form {p!r} and generic solver {solved.p!r} disagree beyond 1e-12"
         )
-    return replace(solved, p=p, q=1.0 - p)
+    return replace(solved, p=p)
 
 
 def diner_conjecture_test(
@@ -302,14 +301,6 @@ def diner_conjecture_test(
     return ConjectureReport(
         n=n, r_cb=r_cb, p_solver=est.p, p_conjecture=2.0 - n / r_cb
     )
-
-
-def _finite_by_delta(spec, p: np.ndarray) -> np.ndarray:
-    """The per-gap probabilities ``p``, or DomainError when the spec's payoff
-    scale overflowed float64 on the way to them."""
-    if not np.isfinite(p).all():
-        raise DomainError(f"payoff scale of {spec!r} overflows float64")
-    return p
 
 
 def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
@@ -385,34 +376,33 @@ def traveler_table2(spec: TravelerSpec, i: int, j: int) -> PayoffTable2:
 def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     """Pairwise cooperation probability as a function of the level gap.
 
-    Below the bonus/step boundary (delta v < t) the pair is a dilemma and
-    the positive quadratic branch applies; at or above it the pair is
-    coordination-flavored with (b-c)/(a-d) = delta v / (2t) >= 1/2, which
-    always selects full cooperation on the high claim.
+    Below the bonus/step boundary (g = delta v < t) the pair is a dilemma and
+    the positive quadratic branch p = 2 g / (g + t + sqrt((t - g)(t + 3 g)))
+    applies, taken as g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), which
+    squares nothing and so neither overflows nor underflows; at or above it
+    the pair is coordination-flavored with (b-c)/(a-d) = delta v / (2t) >= 1/2,
+    which always selects full cooperation on the high claim. DomainError
+    where the largest pair payoff, s + (steps - 1) v + t, overflows float64.
     """
+    if not math.isfinite(spec.s + (spec.steps - 1) * spec.v + spec.t):
+        raise DomainError(f"payoff scale of {spec!r} overflows float64")
     gap = deltas * spec.v
     t = spec.t
     p = np.ones_like(gap)
     pd = gap < t
     if np.any(pd):
         g = gap[pd]
-        with np.errstate(over="ignore", invalid="ignore"):
-            disc = (g + t) ** 2 - 4.0 * g * g  # = (t - g)(t + 3 g) >= 0 on this branch
-            p[pd] = 2.0 * g / (np.sqrt(disc) + g + t)
-    return _finite_by_delta(spec, p)
+        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(t - g) * np.sqrt(0.25 * t + 0.75 * g))
+    return p
 
 
-def traveler_pij(
-    spec: TravelerSpec, i: int, j: int, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
     """Probability that a balanced player keeps the higher of claims i, j."""
     hi, lo = _level_pair(i, j, spec.steps, "claim")
     return float(_traveler_p_by_delta(spec, np.array([float(hi - lo)]))[0])
 
 
-def traveler_distribution(
-    spec: TravelerSpec, policy: NumericPolicy = DEFAULT_POLICY
-) -> OptionDistribution:
+def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     """Distribution over claim levels 0..N by direct pairwise summation."""
     n = spec.steps
     p = _traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
@@ -425,9 +415,9 @@ def traveler_distribution(
     return OptionDistribution(weights / total, weights, total)
 
 
-def traveler_mean(spec: TravelerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def traveler_mean(spec: TravelerSpec) -> float:
     """Expected claim value under the balanced distribution."""
-    dist = traveler_distribution(spec, policy)
+    dist = traveler_distribution(spec)
     claims = spec.s + spec.v * np.arange(spec.steps + 1)
     return float(np.dot(claims, dist.probabilities))
 
@@ -459,13 +449,7 @@ def _check_attrition_mode(mode: str) -> None:
         raise DomainError(f"mode must be 'paper' or 'dispatch', got {mode!r}")
 
 
-def attrition_pij(
-    spec: AttritionSpec,
-    i: int,
-    j: int,
-    mode: str = "paper",
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def attrition_pij(spec: AttritionSpec, i: int, j: int, mode: str = "paper") -> float:
     """Probability of conceding (the lower bid) for the pair of levels i, j.
 
     ``paper`` mode applies the dilemma branch formula uniformly:
@@ -477,12 +461,10 @@ def attrition_pij(
     _check_attrition_mode(mode)
     if mode == "paper":
         return float(_attrition_paper_by_delta(spec, np.array([float(hi - lo)]))[0])
-    return balanced_p(attrition_table2(spec, i, j), policy).p
+    return balanced_p(attrition_table2(spec, i, j)).p
 
 
-def attrition_distribution(
-    spec: AttritionSpec, mode: str = "paper", policy: NumericPolicy = DEFAULT_POLICY
-) -> OptionDistribution:
+def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDistribution:
     """Distribution over bid levels 0..N by direct pairwise summation.
 
     Cooperation means the lower bid, so a level collects p-weight from
@@ -498,7 +480,7 @@ def attrition_distribution(
         p = _attrition_paper_by_delta(spec, deltas)
     else:
         x = spec.x
-        p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0, policy)
+        p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
     cum = np.concatenate(([0.0], np.cumsum(p)))
     levels = np.arange(n + 1)
     # level i: q over its i lower partners (i - cum[i]), p over its n - i

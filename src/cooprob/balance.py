@@ -83,12 +83,13 @@ def verify_table(
     target: BalanceTarget,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    """Compute (p, mu) for the table and compare against the target."""
+    """Compute (p, mu) for the table and compare against the target; only a
+    three-player table reads ``policy``."""
     if isinstance(table, PayoffTable3):
         est = balanced_p3(table, policy)
         mu = expected_payoff3(table, est.p)
     else:
-        est = balanced_p(table, policy)
+        est = balanced_p(table)
         mu = expected_payoff2(table, est.p)
     dp = est.p - target.p
     dmu = mu - target.mu
@@ -116,7 +117,6 @@ def balance_search(
     step: float = 0.5,
     max_iters: int = 200,
     integer_mode: bool = False,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> SearchResult:
     """Greedily perturb payoffs toward the target without changing class.
 
@@ -140,7 +140,7 @@ def balance_search(
     if integer_mode:
         step = float(max(1, round(step)))
     tag0 = classify2(table).tag
-    report = verify_table(table, target, policy)
+    report = verify_table(table, target)
     values = table.values()
     passed = report.passed
     best_obj = _objective(report.delta_p, report.delta_mu, target)
@@ -179,7 +179,7 @@ def balance_search(
         moved = True
     if moved:
         table = PayoffTable2(*values)
-        report = verify_table(table, target, policy)
+        report = verify_table(table, target)
     return SearchResult(table, report, report.passed, stalled, iterations)
 
 

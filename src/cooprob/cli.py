@@ -165,21 +165,12 @@ def _boundary_warnings(game_class) -> list[str]:
     return [f"classification hit boundary equality {f}" for f in sorted(game_class.boundary_flags)]
 
 
-def _global_opt(args, name: str, fallback=None):
-    """Resolve a global flag that may sit before or after the subcommand."""
-    late = getattr(args, name + "_sub", None)
-    early = getattr(args, name, None)
-    return late if late is not None else (early if early is not None else fallback)
-
-
 def _policy_from(args) -> NumericPolicy:
     kwargs = {}
-    policy_eps = _global_opt(args, "policy_eps")
-    policy_tol = _global_opt(args, "policy_tol")
-    if policy_eps is not None:
-        kwargs["eps_root"] = _parse_number(policy_eps, "--policy-eps")
-    if policy_tol is not None:
-        kwargs["fp_tol"] = _parse_number(policy_tol, "--policy-tol")
+    if args.policy_eps is not None:
+        kwargs["eps_root"] = _parse_number(args.policy_eps, "--policy-eps")
+    if args.policy_tol is not None:
+        kwargs["fp_tol"] = _parse_number(args.policy_tol, "--policy-tol")
     return NumericPolicy(**kwargs)
 
 
@@ -201,7 +192,7 @@ def _cmd_estimate(args, policy) -> tuple[dict, dict, list[str]]:
     inputs = {"table": table.to_dict(), "method": method}
     warnings: list[str] = []
     if method == "balanced":
-        est = balanced_p(table, policy)
+        est = balanced_p(table)
         warnings += _boundary_warnings(est.class_used)
         return inputs, _estimate_payload(est), warnings
     if method == "maximin":
@@ -227,7 +218,7 @@ def _cmd_estimate(args, policy) -> tuple[dict, dict, list[str]]:
         p0 = _parse_number(args.p0, "--p0")
         inputs["p0"] = p0
         cls = classify2(table)
-        trace = iterate2(table, cls, p0, policy)
+        trace = iterate2(table, p0, policy)
         payload = {
             "method": "oracle",
             "p": trace.limit,
@@ -255,7 +246,7 @@ def _cmd_estimate3(args, policy) -> tuple[dict, dict, list[str]]:
 def _cmd_asym(args, policy) -> tuple[dict, dict, list[str]]:
     values = _parse_table_values(args.table, 8, "--table")
     table = AsymmetricTable2(*values)
-    est_x, est_y = balanced_p_asym(table, policy)
+    est_x, est_y = balanced_p_asym(table)
     inputs = {"table": table.to_dict()}
     payload = {"x": _estimate_payload(est_x), "y": _estimate_payload(est_y)}
     warnings = _boundary_warnings(est_x.class_used) + _boundary_warnings(est_y.class_used)
@@ -330,7 +321,7 @@ def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
     t = _parse_number(args.bonus, "--bonus")
     steps = _parse_int(args.steps, "--steps")
     spec = apps.TravelerSpec(r=r, s=s, t=t, steps=steps)
-    dist = apps.traveler_distribution(spec, policy)
+    dist = apps.traveler_distribution(spec)
     inputs = {"max": r, "min": s, "bonus": t, "steps": steps}
     payload = {
         "steps": steps,
@@ -338,7 +329,7 @@ def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
         **_distribution_payload(dist),
     }
     if args.mean:
-        payload["mean"] = apps.traveler_mean(spec, policy)
+        payload["mean"] = apps.traveler_mean(spec)
     return inputs, payload, []
 
 
@@ -346,7 +337,7 @@ def _cmd_app_attrition(args, policy) -> tuple[dict, dict, list[str]]:
     x = _parse_number(args.x, "--x")
     max_bid = _parse_int(args.max_bid, "--max-bid")
     spec = apps.AttritionSpec(x=x, max_bid=max_bid)
-    dist = apps.attrition_distribution(spec, args.mode, policy)
+    dist = apps.attrition_distribution(spec, args.mode)
     inputs = {"x": x, "max_bid": max_bid, "mode": args.mode}
     payload = {
         "max_bid": max_bid,
@@ -463,27 +454,20 @@ def _render(envelope: dict, fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def _add_globals(parser, suffix: str = "") -> None:
-    parser.add_argument(
-        "--format", dest="format" + suffix, choices=("json", "csv", "text"), default=None
-    )
-    parser.add_argument(
-        "--policy-eps", dest="policy_eps" + suffix, default=None,
-        help="override the root-matching epsilon (eps_root)",
-    )
-    parser.add_argument(
-        "--policy-tol", dest="policy_tol" + suffix, default=None,
-        help="override fixed-point tolerance",
-    )
+def _add_globals(parser) -> None:
+    parser.add_argument("--format", choices=("json", "csv", "text"))
+    parser.add_argument("--policy-eps", help="override the root-matching epsilon (eps_root)")
+    parser.add_argument("--policy-tol", help="override fixed-point tolerance")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cooprob", description="Balanced cooperation-probability toolkit")
     _add_globals(parser)
-    # leaf commands re-declare the globals under shadow dests so the flags
-    # also work after the subcommand name
-    common = argparse.ArgumentParser(add_help=False)
-    _add_globals(common, "_sub")
+    # leaf commands re-declare the globals so the flags also work after the
+    # subcommand name; with no default there, a flag given only before the
+    # subcommand keeps its value, and one given in both places takes the later
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_globals(common)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a 2-player table", parents=[common])
@@ -564,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
             "result": _rounded(result),
             "warnings": warnings,
         }
-        sys.stdout.write(_render(envelope, _global_opt(args, "format", "json")))
+        sys.stdout.write(_render(envelope, args.format or "json"))
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from .errors import (
     InternalError,
     UnsupportedClassError,
 )
-from .tables import DEFAULT_POLICY, Estimate, GameClass, GameTag, NumericPolicy, PayoffTable2, classify2, payoff_scale
+from .tables import Estimate, GameTag, PayoffTable2, classify2, payoff_scale
 
 __all__ = [
     "PhiChi",
@@ -146,13 +146,14 @@ def weights2(tag: GameTag, a, b, c, d, p):
     raise UnsupportedClassError(f"no weights defined for class {tag.value}")
 
 
-def phi_chi(table: PayoffTable2, game_class: GameClass, p: float) -> PhiChi:
-    """Evaluate the class-specific weights at cooperation level ``p``."""
+def phi_chi(table: PayoffTable2, p: float) -> PhiChi:
+    """Evaluate the weights of the table's class at cooperation level ``p``."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p!r} outside [0, 1]")
-    if game_class.tag is GameTag.UNCLASSIFIED:
+    tag = classify2(table).tag
+    if tag is GameTag.UNCLASSIFIED:
         raise UnsupportedClassError("weights are undefined for unclassified tables")
-    phi, chi = weights2(game_class.tag, table.a, table.b, table.c, table.d, p)
+    phi, chi = weights2(tag, *table.values(), p)
     return PhiChi(float(phi), float(chi))
 
 
@@ -169,7 +170,7 @@ def maximin_p(table: PayoffTable2) -> MaximinResult:
         return MaximinResult(value=None, estimate=None, degenerate=True)
     value = (c - d) / den
     if 0.0 <= value <= 1.0:
-        est = Estimate(p=value, q=1.0 - value, method="maximin", class_used=classify2(table))
+        est = Estimate(p=value, method="maximin", class_used=classify2(table))
         return MaximinResult(value=value, estimate=est)
     return MaximinResult(value=value, estimate=None)
 
@@ -201,7 +202,7 @@ def payoff_max_p(table: PayoffTable2) -> Estimate:
     p = 1.0 if b > c else 0.0  # mu(0) = c and mu(1) = b
     if 0.0 < eta < 1.0 and expected_payoff2(table, eta) > max(b, c):
         p = eta
-    return Estimate(p=p, q=1.0 - p, method="payoff-max", class_used=classify2(table))
+    return Estimate(p=p, method="payoff-max", class_used=classify2(table))
 
 
 def best_response_threshold(table: PayoffTable2) -> BestResponseThreshold:
@@ -337,7 +338,7 @@ def _balance2(tag: GameTag, values):
     return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1
 
 
-def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
+def balanced_p(table: PayoffTable2) -> Estimate:
     """Balanced-player cooperation probability for a classified table.
 
     Every class goes through one rule: its weights :func:`weights2` are
@@ -360,7 +361,7 @@ def balanced_p(table: PayoffTable2, policy: NumericPolicy = DEFAULT_POLICY) -> E
     p, s0, s1, w0, w1 = _balance2(cls.tag, table.values())
     k = (w1 - w0) + (s1 - s0)
     roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0) if k else (p,)
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=roots)
+    return Estimate(p, "balanced", cls, roots=roots)
 
 
 def _balance_root2_batch(s0, s1, w0, w1):
@@ -379,8 +380,8 @@ def _balance_root2_batch(s0, s1, w0, w1):
     return np.where(rho == 0.0, np.where(s0 != 0.0, 1.0, 0.0), p), (rho == 0.0) & (s0 == w1)
 
 
-def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """``balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]), policy).p`` for
+def _balanced_p_batch(a, b, c, d) -> np.ndarray:
+    """``balanced_p(PayoffTable2(a[i], b[i], c[i], d[i])).p`` for
     every row i, bit for bit, computed with numpy.
 
     The payoffs broadcast to one 1-D float64 array. When some row would make
@@ -418,7 +419,7 @@ def _balanced_p_batch(a, b, c, d, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     if bad.size:
         i = int(bad[0])
         try:
-            balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]), policy)
+            balanced_p(PayoffTable2(a[i], b[i], c[i], d[i]))
         except CooprobError as exc:
             exc.args = (f"row {i}: {exc}",)
             raise

@@ -19,11 +19,11 @@ from .estimators import weights2
 from .tables import (
     DEFAULT_POLICY,
     AsymmetricTable2,
-    GameClass,
     GameTag,
     NumericPolicy,
     PayoffTable2,
     PayoffTable3,
+    classify2,
 )
 
 __all__ = [
@@ -123,11 +123,10 @@ def _fixed_point_batch(weights, arrays: tuple, p: np.ndarray, policy: NumericPol
 
 def iterate2(
     table: PayoffTable2,
-    game_class: GameClass,
     p0: float = 0.5,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> IterationTrace:
-    """Iterate the two-player balance map from p0 and record the trace.
+    """Iterate the balance map of the table's class from p0 and record the trace.
 
     A StagHunt seed of exactly 1 lands on a fixed point that may repel:
     when it does, iterating in place would sit on the corner forever (and
@@ -135,12 +134,13 @@ def iterate2(
     the seed is moved to 0.5 and the interior attractor takes over. The
     repulsion test only inspects the map's own slope at the corner.
     """
-    if game_class.tag is GameTag.UNCLASSIFIED:
+    tag = classify2(table).tag
+    if tag is GameTag.UNCLASSIFIED:
         raise UnsupportedClassError("iteration requires a classified table")
     a, b, c, d = table.values()
-    if game_class.tag is GameTag.STAG_HUNT and p0 == 1.0 and _corner_repels(a, b, c, d):
+    if tag is GameTag.STAG_HUNT and p0 == 1.0 and _corner_repels(a, b, c, d):
         p0 = 0.5
-    return _fixed_point(partial(weights2, game_class.tag, a, b, c, d), p0, policy)
+    return _fixed_point(partial(weights2, tag, a, b, c, d), p0, policy)
 
 
 def iterate3(

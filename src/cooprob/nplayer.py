@@ -105,7 +105,7 @@ def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> 
     if cls.tag is not GameTag.PRISONERS_DILEMMA:
         raise UnsupportedClassError("balanced_p3 requires the dilemma chain f>=g>=h>=j>=k>=m")
     p, roots = _ladder_root(list(table.values()), policy)
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots))
+    return Estimate(p, "balanced", cls, roots=tuple(roots))
 
 
 def equiprobability3(table: PayoffTable3) -> EquiprobabilityReport:
@@ -147,9 +147,7 @@ def _products(pairs) -> list[float]:
     return [math.ldexp(m, e - top) for m, e in parts]
 
 
-def balanced_p_asym(
-    table: AsymmetricTable2, policy: NumericPolicy = DEFAULT_POLICY
-) -> tuple[Estimate, Estimate]:
+def balanced_p_asym(table: AsymmetricTable2) -> tuple[Estimate, Estimate]:
     """Coupled balanced probabilities (p_x, p_y) for a two-sided dilemma.
 
     Both sides must classify PrisonersDilemma (boundary flags permitted).
@@ -157,9 +155,10 @@ def balanced_p_asym(
     composed with the other side's, F = b - c. With primes marking the other
     side, the weights psi = F (F' + chi'(p)) and omega = F' (a - b) + chi'(p) (c - d)
     are affine in p and nonnegative. The root rule is that of :func:`balanced_p3`;
-    a composed Moebius map has at most one attracting fixed point, so no
-    iteration runs. ``roots`` lists each side's balance roots in [0, 1]. A
-    side whose payoff scale overflows float64 raises DomainError.
+    a composed Moebius map has at most one attracting fixed point, so the
+    degree-2 closed form decides, no iteration runs, and no policy is read.
+    ``roots`` lists each side's balance roots in [0, 1]. A side whose payoff
+    scale overflows float64 raises DomainError.
     """
     sides = table.side_x(), table.side_y()
     classes = [classify2(side) for side in sides]
@@ -175,8 +174,8 @@ def balanced_p_asym(
         f, cd = b - c, c - d
         pairs = (f, b2 - d2), (f, a2 - c2), (b2 - c2, a - b), (c2 - d2, cd), (a2 - b2, cd)
         psi0, psi1, fab, cd0, cd1 = _products(pairs)
-        p, roots = _balance_root([psi0, psi1], [fab + cd0, fab + cd1], policy)
-        estimates.append(Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots)))
+        p, roots = _balance_root_affine(*_reduced([psi0, psi1], [fab + cd0, fab + cd1]))
+        estimates.append(Estimate(p, "balanced", cls, roots=tuple(roots)))
     return estimates[0], estimates[1]
 
 
@@ -345,21 +344,11 @@ def _halves(b: list[float]) -> tuple[list[float], list[float]]:
     return left, right[::-1]
 
 
-def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
-    """Balanced p of weights psi and omega, and every root of
-    h = p omega - q psi in [0, 1].
-
-    psi and omega come as weighted Bernstein coefficients C(m, k) b_k of one
-    degree m, all nonnegative. A zero at the same end of both lists is a
-    common factor p or q; dropping it leaves psi + omega > 0 on [0, 1]. With
-    t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k. Degree 2
-    (m = 1, or m = 0 raised by the factor p + q) goes to the closed form
-    :func:`estimators._balance_root2`. Otherwise halving [0, 1] by de
-    Casteljau isolates the roots: a piece whose coefficients change sign
-    once holds one, found by Brent's method; an exact zero at 0, 1 or a
-    split point is one. The choice among the roots follows the root rule
-    stated under :func:`balanced_p3`.
-    """
+def _reduced(wpsi: list[float], womega: list[float]) -> tuple[list[float], list[float]]:
+    """Weighted Bernstein coefficients of psi and omega with every common
+    factor p or q dropped: a zero at the same end of both lists. What is left
+    has psi + omega > 0 on [0, 1]. DomainError where a weight is not finite,
+    DegenerateWeightsError where all of them vanish."""
     if not all(map(math.isfinite, wpsi + womega)):
         raise DomainError("balance weights overflow float64")
     if not any(wpsi) and not any(womega):
@@ -368,14 +357,38 @@ def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy)
         wpsi, womega = wpsi[1:], womega[1:]
     while wpsi and wpsi[-1] == womega[-1] == 0.0:
         wpsi, womega = wpsi[:-1], womega[:-1]
+    return wpsi, womega
+
+
+def _balance_root_affine(wpsi: list[float], womega: list[float]) -> tuple[float, list[float]]:
+    """:func:`_balance_root` of reduced weights of degree at most 1, which
+    reads no policy: degree 1 is raised to 2 by the factor p + q, and then
+    h has at most one root in (0, 1), besides 0 where psi vanishes and 1
+    where omega does, which :func:`estimators._balance_root2` picks from."""
+    p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
+    ends = {0.0} if wpsi[0] == 0.0 else set()
+    if womega[-1] == 0.0:
+        ends.add(1.0)
+    return p, sorted(ends | {p})
+
+
+def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+    """Balanced p of weights psi and omega, and every root of
+    h = p omega - q psi in [0, 1].
+
+    psi and omega come as weighted Bernstein coefficients C(m, k) b_k of one
+    degree m, all nonnegative, and :func:`_reduced` drops their common
+    factors. With t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k.
+    Degree 2 (m = 1, or m = 0 raised by the factor p + q) goes to
+    :func:`_balance_root_affine`. Otherwise halving [0, 1] by de
+    Casteljau isolates the roots: a piece whose coefficients change sign
+    once holds one, found by Brent's method; an exact zero at 0, 1 or a
+    split point is one. The choice among the roots follows the root rule
+    stated under :func:`balanced_p3`.
+    """
+    wpsi, womega = _reduced(wpsi, womega)
     if len(womega) <= 2:
-        # degree 1 is raised to 2 by the factor p + q; then h has at most one
-        # root in (0, 1), besides 0 where psi vanishes and 1 where omega does
-        p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
-        ends = {0.0} if wpsi[0] == 0.0 else set()
-        if womega[-1] == 0.0:
-            ends.add(1.0)
-        return p, sorted(ends | {p})
+        return _balance_root_affine(wpsi, womega)
 
     def weights(p: float) -> tuple[float, float]:
         return _bernstein(wpsi, p), _bernstein(womega, p)
@@ -452,4 +465,4 @@ def balanced_pn(
     """
     p, roots = _ladder_root(_validate_ladder(ladder, n), policy)
     cls = GameClass(GameTag.PRISONERS_DILEMMA)
-    return Estimate(p, 1.0 - p, "balanced", cls, roots=tuple(roots))
+    return Estimate(p, "balanced", cls, roots=tuple(roots))

@@ -184,6 +184,14 @@ class NumericPolicy:
     ``eps_root`` is the distance within which the oracle's limit must match
     an attracting root; no solver widens [0, 1] by it. ``fp_tol`` and
     ``fp_max_iter`` control fixed-point iteration.
+
+    Read by the iteration oracles (``iterate2``, ``iterate3``,
+    ``iterate_asym``, ``iterate2_limits``, ``iterate3_limits``) and by the
+    solvers that may ask the oracle to choose between attracting roots:
+    ``balanced_p3``, ``balanced_pn``, and through them ``diner_p`` (n = 3),
+    ``diner_conjecture_test`` and ``verify_table`` (three-player tables).
+    The closed forms for 2x2 tables, the two-sided game and the applied
+    distributions use no tolerance and take no policy.
     """
 
     eps_root: float = 1e-9
@@ -206,7 +214,7 @@ DEFAULT_POLICY = NumericPolicy()
 class Estimate:
     """A cooperation-probability estimate.
 
-    ``q`` is stored as ``1 - p`` exactly as computed. ``roots`` carries the
+    ``q`` is derived from p: it reads ``1 - p``. ``roots`` carries the
     balance roots, ascending. The n-player solvers list every root in [0, 1]
     that the balance core found, p among them; ``balanced_p`` lists both
     real roots of its quadratic, also those outside [0, 1], or (p,) where
@@ -214,7 +222,6 @@ class Estimate:
     """
 
     p: float
-    q: float
     method: str
     class_used: GameClass
     roots: tuple[float, ...] = ()
@@ -222,6 +229,10 @@ class Estimate:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"estimate p={self.p!r} outside [0, 1]")
+
+    @property
+    def q(self) -> float:
+        return 1.0 - self.p
 
 
 def payoff_scale(values: tuple[float, ...]) -> float:

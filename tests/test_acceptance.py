@@ -32,11 +32,11 @@ from cooprob import (
     equiprobability3,
     expected_payoff2,
     expected_payoff3,
-    iterate2_limits,
     public_goods_distribution,
     traveler_distribution,
     traveler_mean,
 )
+from cooprob.iteration import iterate2_limits
 from conftest import CLASS_PATTERNS, sample_tables
 
 BULK = 10_000  # randomized tables per class for criterion 9

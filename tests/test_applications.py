@@ -12,7 +12,6 @@ from cooprob import (
     DomainError,
     GameTag,
     InternalError,
-    NumericPolicy,
     OptionDistribution,
     PayoffTable2,
     PublicGoodsSpec,
@@ -116,6 +115,24 @@ def test_payoff_scale_overflow_is_a_domain_error(build):
     # these used to return all-NaN distributions that passed validation
     with pytest.raises(DomainError, match="overflows float64"):
         build()
+
+
+@pytest.mark.parametrize(
+    "spec, gap",
+    [
+        (TravelerSpec(1.0000001e160, 1e160, 1e160, 10), 1),  # (g + t)^2 overflows float64
+        (TravelerSpec(1e-300, 5e-301, 5e-301, 9), 1),  # 4 g^2 underflows
+        (TravelerSpec(4, 2, 2, 2_000_000), 1_999_999),  # (g + t)^2 - 4 g^2 cancels
+    ],
+)
+def test_traveler_pij_is_the_high_precision_root(spec, gap):
+    # the reference takes the gap g = gap * v as float64 forms it: p is
+    # ill-conditioned in g near the bonus t, so only the formula is under test
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g, t = mpmath.mpf(gap * spec.v), mpmath.mpf(spec.t)
+        want = 2 * g / (g + t + mpmath.sqrt((t - g) * (t + 3 * g)))
+    assert abs(traveler_pij(spec, gap, 0) - want) <= 1e-15 * want
 
 
 # ----------------------------------------------------------------- diner
@@ -486,9 +503,9 @@ def test_attrition_paper_mode_answers_a_prize_at_the_top_of_float64():
     assert dist.probabilities.tolist() == pytest.approx([2e-308, 1 / 6, 1 / 3, 1 / 2], rel=1e-15)
 
 
-def _dispatch_reference(spec, policy=NumericPolicy()):
+def _dispatch_reference(spec):
     gaps = range(1, spec.max_bid + 1)
-    return _loop_weights([attrition_pij(spec, d, 0, "dispatch", policy) for d in gaps], False)
+    return _loop_weights([attrition_pij(spec, d, 0, "dispatch") for d in gaps], False)
 
 
 @pytest.mark.parametrize("x, max_bid", [(8.0, 20), (1000.0, 2500)])
@@ -519,17 +536,12 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
     )
 
 
-def test_attrition_dispatch_cli_policy_reaches_the_batch_solver(capsys):
+def test_attrition_dispatch_cli_ignores_the_policy_flags(capsys):
     # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-eps
     # 1e-3 sets eps_root, which the closed form does not use
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
-    spec = AttritionSpec(x=8.001, max_bid=10)
-    rendered = [
-        [float(f"{w:.12g}") for w in _dispatch_reference(spec, policy)]
-        for policy in (NumericPolicy(eps_root=1e-3), NumericPolicy())
-    ]
-    assert rendered[0] == rendered[1]
-    for extra, want in zip((["--policy-eps", "1e-3"], []), rendered):
+    want = [float(f"{w:.12g}") for w in _dispatch_reference(AttritionSpec(x=8.001, max_bid=10))]
+    for extra in (["--policy-eps", "1e-3"], []):
         assert main(args + extra) == 0
         assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
 

@@ -24,7 +24,6 @@ from cooprob import (
 )
 from cooprob.balance import SearchResult
 from cooprob.errors import CooprobError
-from cooprob.tables import DEFAULT_POLICY
 from conftest import CLASS_PATTERNS
 
 
@@ -115,7 +114,7 @@ def test_balance_search_validates_knobs():
 # ------------------------- the per-neighbour search loop, kept as reference
 
 
-def reference_search(table, target, step=0.5, max_iters=200, integer_mode=False, policy=DEFAULT_POLICY):
+def reference_search(table, target, step=0.5, max_iters=200, integer_mode=False):
     """``balance_search`` as it ran before it scored neighbours from their
     payoffs: every neighbour built as a table, classified and verified."""
 
@@ -125,7 +124,7 @@ def reference_search(table, target, step=0.5, max_iters=200, integer_mode=False,
     if integer_mode:
         step = float(max(1, round(step)))
     tag0 = classify2(table).tag
-    report = verify_table(table, target, policy)
+    report = verify_table(table, target)
     best_obj = objective(report)
     iterations = 0
     while iterations < max_iters:
@@ -144,7 +143,7 @@ def reference_search(table, target, step=0.5, max_iters=200, integer_mode=False,
                 if classify2(cand).tag is not tag0:
                     continue
                 try:
-                    cand_report = verify_table(cand, target, policy)
+                    cand_report = verify_table(cand, target)
                 except CooprobError:
                     continue
                 obj = objective(cand_report)

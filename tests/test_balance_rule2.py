@@ -202,14 +202,12 @@ def mp_balance_root(a, b, c, d):
         ((6.777791567485758e290, -6.129433080487882e-118, -5.770351792813794e-26, -3.55925148837825e-97), GameTag.CHICKEN),
     ],
 )
-@pytest.mark.parametrize("eps_root", [1e-9, 10.0])
-def test_balanced_p_is_the_high_precision_root(table, tag, eps_root):
-    policy = NumericPolicy(eps_root=eps_root)
-    est = balanced_p(PayoffTable2(*table), policy)
+def test_balanced_p_is_the_high_precision_root(table, tag):
+    est = balanced_p(PayoffTable2(*table))
     assert est.class_used.tag is tag
     assert est.p == pytest.approx(mp_balance_root(*table), rel=1e-15, abs=0.0)
     rows = np.array([(9.0, 8.0, 5.0, 2.0), table])
-    assert _balanced_p_batch(*rows.T, policy)[1] == est.p
+    assert _balanced_p_batch(*rows.T)[1] == est.p
 
 
 def test_a_near_double_root_keeps_its_digits_in_the_two_sided_game():

@@ -219,9 +219,21 @@ def test_global_flags_accepted_before_and_after_subcommand():
     after = run_cli("classify", "--table", "9,8,5,2", "--format", "text")
     assert before.returncode == after.returncode == 0
     assert before.stdout == after.stdout
+    text = after.stdout
+    diner = ("app", "diner", "--r", "5", "--s", "3.5", "--u", "1.5", "--w", "1", "--n", "3")
+    before = run_cli("--format", "csv", *diner)
+    after = run_cli(*diner, "--format", "csv")
+    assert before.returncode == after.returncode == 0
+    assert before.stdout == after.stdout and before.stdout.startswith("key,value\n")
+    # given in both places, the later flag wins
+    both = run_cli("--format", "csv", "classify", "--table", "9,8,5,2", "--format", "text")
+    assert both.returncode == 0 and both.stdout == text
+    table = ("estimate3", "--table", "39,38,28,27,26,1")
+    assert run_cli("--policy-tol", "1e-3", *table, "--policy-tol", "1e-12").returncode == 0
+    assert run_cli("--policy-tol", "1e-12", *table, "--policy-tol", "1e-3").returncode == 3
 
 
-def test_policy_flags_change_the_numeric_policy():
+def test_policy_flags_change_the_numeric_policy(capsys):
     # two attracting roots, so the oracle picks one; stopped early by a loose
     # --policy-tol, its limit matches a root only within a loose --policy-eps
     table = ("estimate3", "--table", "39,38,28,27,26,1")
@@ -230,10 +242,23 @@ def test_policy_flags_change_the_numeric_policy():
     tight = run_json(*table)
     assert loose["result"]["p"] == tight["result"]["p"] == pytest.approx(0.06940133328365998, abs=1e-12)
     assert len(tight["result"]["roots"]) == 3
-    # the 2x2 closed form uses no tolerance
-    assert run_json("estimate", "--table", "9,8,5,2", "--policy-eps", "0.5") == run_json(
-        "estimate", "--table", "9,8,5,2"
-    )
+    # the closed forms and the applied distributions use no tolerance
+    commands = [
+        ("classify", "--table", "9,8,5,2"),
+        *[("estimate", "--table", "9,8,5,2", "--method", m) for m in ("balanced", "maximin", "payoff-max")],
+        ("asym", "--table", "10,7,5,1,9,8,5,2"),
+        ("equiprob", "--table", "9,8,5,2"),
+        ("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"),
+        ("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"),
+        *[("app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", m) for m in ("paper", "dispatch")],
+        ("app", "diner", "--r", "4", "--s", "3.5", "--u", "1.5", "--w", "1", "--n", "2"),
+    ]
+    for command in commands:
+        outs = []
+        for extra in (["--policy-eps", "0.5", "--policy-tol", "1e-3"], []):
+            assert main([*command, *extra]) == 0, command
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], command
 
 
 # ------------------------------------------------------------- exit codes

@@ -11,7 +11,6 @@ from cooprob import (
     GameTag,
     InvalidTableError,
     Leaning,
-    NumericPolicy,
     PayoffTable2,
     Response,
     UnsupportedClassError,
@@ -180,16 +179,12 @@ def test_balanced_p_names_the_float64_overflow(values, what):
 
 def test_eps_root_does_not_widen_the_unit_interval():
     # the balance polynomial is negative at 0 and positive at 1, so its one
-    # root in [0, 1] wins, whatever eps_root; the root at -9.906 never counts
+    # root in [0, 1] wins; the root at -9.906 never counts, and no tolerance
+    # enters the 2x2 rule to widen [0, 1] towards it
     chicken = (14.0, -1.0, -16.0, -5.0)
-    lo, hi = balanced_p(PayoffTable2(*chicken)).roots
     rows = np.array([(9, 8, 5, 2), chicken])
-    for eps_root in (10.0, abs(hi - lo)):
-        policy = NumericPolicy(eps_root=eps_root)
-        assert balanced_p(PayoffTable2(*chicken), policy).p == 0.6561575435694019
-        assert _balanced_p_batch(*rows.T, policy).tolist() == [
-            balanced_p(PayoffTable2(*row), policy).p for row in rows.tolist()
-        ]
+    assert balanced_p(PayoffTable2(*chicken)).p == 0.6561575435694019
+    assert _balanced_p_batch(*rows.T).tolist() == [balanced_p(PayoffTable2(*row)).p for row in rows.tolist()]
 
 
 def test_a_dilemma_past_the_square_of_its_gaps_is_answered():
@@ -283,7 +278,7 @@ def test_best_response_rejects_bad_p2():
 
 def test_phi_chi_dilemma_values():
     t = PayoffTable2(9, 8, 5, 2)
-    w = phi_chi(t, classify2(t), 0.5)
+    w = phi_chi(t, 0.5)
     assert w.phi == pytest.approx(3.0)
     assert w.chi == pytest.approx(2.0)
     assert w.total == pytest.approx(5.0)
@@ -291,10 +286,10 @@ def test_phi_chi_dilemma_values():
 
 def test_phi_chi_class_specific_shapes():
     stag = PayoffTable2(2, 3, 1, 0)
-    w = phi_chi(stag, classify2(stag), 1.0)
+    w = phi_chi(stag, 1.0)
     assert w.chi == 0.0  # no defectors left to beat
     trans = PayoffTable2(5, 3, 4, 1)
-    w = phi_chi(trans, classify2(trans), 0.25)
+    w = phi_chi(trans, 0.25)
     assert w.phi == 0.0  # cooperation never pays in this ordering
     assert w.chi > 0.0
 
@@ -302,10 +297,10 @@ def test_phi_chi_class_specific_shapes():
 def test_phi_chi_validates_inputs():
     t = PayoffTable2(9, 8, 5, 2)
     with pytest.raises(DomainError):
-        phi_chi(t, classify2(t), 1.25)
+        phi_chi(t, 1.25)
     with pytest.raises(UnsupportedClassError):
         bad = PayoffTable2(1, 2, 3, 4)
-        phi_chi(bad, classify2(bad), 0.5)
+        phi_chi(bad, 0.5)
 
 
 # -------------------------------------------------- equiprobability and mu

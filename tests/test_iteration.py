@@ -13,20 +13,17 @@ from cooprob import (
     PayoffTable2,
     PayoffTable3,
     balanced_p,
-    classify2,
     iterate2,
-    iterate2_limits,
-    iterate3,
-    iterate3_limits,
     iterate_asym,
     AsymmetricTable2,
     UnsupportedClassError,
 )
+from cooprob.iteration import iterate2_limits, iterate3, iterate3_limits
 
 
 def test_trace_shape_and_bookkeeping():
     t = PayoffTable2(9, 8, 5, 2)
-    trace = iterate2(t, classify2(t), p0=0.5)
+    trace = iterate2(t, p0=0.5)
     assert trace.iterates[0] == 0.5
     assert trace.converged
     assert trace.iterations_used == len(trace.iterates) - 1
@@ -37,7 +34,7 @@ def test_trace_shape_and_bookkeeping():
 @pytest.mark.parametrize("p0", [0.0, 0.25, 0.5, 1.0])
 def test_dilemma_limit_is_seed_independent(p0):
     t = PayoffTable2(9, 8, 5, 2)
-    trace = iterate2(t, classify2(t), p0=p0)
+    trace = iterate2(t, p0=p0)
     assert trace.converged
     assert trace.limit == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, abs=1e-9)
 
@@ -46,21 +43,21 @@ def test_stag_hunt_escapes_the_repelling_corner():
     # p = 1 is a fixed point but repels when an interior root exists;
     # the repelling seed is detected and restarted from the interior
     t = PayoffTable2(10, 11, 1, -30)
-    trace = iterate2(t, classify2(t), p0=1.0)
+    trace = iterate2(t, p0=1.0)
     assert trace.converged
     assert trace.limit == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_stag_hunt_full_cooperation_attracts():
     t = PayoffTable2(2, 3, 1, 0)
-    trace = iterate2(t, classify2(t), p0=0.25)
+    trace = iterate2(t, p0=0.25)
     assert trace.converged
     assert trace.limit == pytest.approx(1.0, abs=1e-9)
 
 
 def test_translators_collapse_in_one_step():
     t = PayoffTable2(5, 3, 4, 1)
-    trace = iterate2(t, classify2(t), p0=0.7)
+    trace = iterate2(t, p0=0.7)
     assert trace.converged
     assert trace.limit == 0.0
     assert trace.iterations_used <= 2
@@ -69,10 +66,10 @@ def test_translators_collapse_in_one_step():
 def test_iterate2_validates_inputs():
     t = PayoffTable2(9, 8, 5, 2)
     with pytest.raises(DomainError):
-        iterate2(t, classify2(t), p0=1.5)
+        iterate2(t, p0=1.5)
     bad = PayoffTable2(1, 2, 3, 4)
     with pytest.raises(UnsupportedClassError):
-        iterate2(bad, classify2(bad), p0=0.5)
+        iterate2(bad, p0=0.5)
 
 
 def test_iterate3_known_limits():
@@ -110,7 +107,7 @@ def test_iterate3_degenerate_weights_raise():
 
 def test_iterate_asym_symmetric_input_matches_scalar():
     t = PayoffTable2(9, 8, 5, 2)
-    sym = iterate2(t, classify2(t)).limit
+    sym = iterate2(t).limit
     trace = iterate_asym(AsymmetricTable2(9, 8, 5, 2, 9, 8, 5, 2))
     assert trace.converged
     px, py = trace.limit
@@ -133,7 +130,7 @@ def test_batch_limits_match_scalar_runs():
     assert converged.all()
     for pos, vals in enumerate(tables):
         t = PayoffTable2(*vals)
-        scalar = iterate2(t, classify2(t), p0=0.5).limit
+        scalar = iterate2(t, p0=0.5).limit
         assert limits[pos] == pytest.approx(scalar, abs=1e-12)
 
 

@@ -38,8 +38,8 @@ from cooprob import (
     iterate_asym,
     iteration,
     nplayer,
-    psi_omega_coeffs,
 )
+from cooprob.nplayer import psi_omega_coeffs
 
 SQRT3 = math.sqrt(3.0)
 ROOT = Path(__file__).resolve().parent.parent

@@ -17,7 +17,6 @@ from cooprob import (
     AttritionSpec,
     CooprobError,
     GameTag,
-    NumericPolicy,
     PayoffTable2,
     PublicGoodsSpec,
     TravelerSpec,
@@ -89,7 +88,7 @@ def test_estimate_is_a_probability_pair(tag, quad):
 @settings(max_examples=100, deadline=None)
 def test_weights_are_nonnegative_for_every_class(tag, quad, p):
     t = table_for(tag, quad)
-    w = phi_chi(t, classify2(t), p)
+    w = phi_chi(t, p)
     assert w.phi >= 0.0
     assert w.chi >= 0.0
 
@@ -125,21 +124,17 @@ payoffs = st.one_of(
 )
 
 
-@given(
-    row=st.tuples(payoffs, payoffs, payoffs, payoffs),
-    eps_root=st.sampled_from([1e-9, 10.0, 0.0]),
-)
+@given(row=st.tuples(payoffs, payoffs, payoffs, payoffs))
 @settings(max_examples=400, deadline=None)
-def test_balanced_p_batch_matches_the_scalar_path_or_its_error(row, eps_root):
-    policy = NumericPolicy(eps_root=eps_root)
+def test_balanced_p_batch_matches_the_scalar_path_or_its_error(row):
     try:
-        want = balanced_p(PayoffTable2(*row), policy).p
+        want = balanced_p(PayoffTable2(*row)).p
     except (CooprobError, OverflowError) as exc:
         with pytest.raises(type(exc)) as got:
-            _balanced_p_batch(*np.array([row]).T, policy)
+            _balanced_p_batch(*np.array([row]).T)
         assert got.type is type(exc)
         return
-    got = _balanced_p_batch(*np.array([row]).T, policy)
+    got = _balanced_p_batch(*np.array([row]).T)
     assert got.view(np.uint64).tolist() == [np.float64(want).view(np.uint64)]
 
 
@@ -149,7 +144,7 @@ def test_oracle_confirms_the_dilemma_closed_form(quad):
     t = PayoffTable2(*quad)
     closed = balanced_p(t).p
     for p0 in (0.0, 0.5, 1.0):
-        trace = iterate2(t, classify2(t), p0=p0)
+        trace = iterate2(t, p0=p0)
         assert trace.converged
         assert trace.limit == pytest.approx(closed, abs=1e-9)
 

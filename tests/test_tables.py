@@ -1,21 +1,46 @@
 """Classification, table containers, and the numeric policy."""
 
+import dataclasses
+import inspect
 import math
 
+import numpy as np
 import pytest
 
 from cooprob import (
     AsymmetricTable2,
+    BalanceTarget,
+    DinerSpec,
     DomainError,
+    Estimate,
     GameTag,
     InvalidTableError,
     NumericPolicy,
     PayoffTable2,
     PayoffTable3,
+    applications,
+    attrition_distribution,
+    attrition_pij,
+    balance_search,
+    balanced_p,
+    balanced_p3,
+    balanced_p_asym,
+    balanced_pn,
     classify2,
     classify3,
+    diner_conjecture_test,
+    diner_p,
+    iterate2,
+    iterate_asym,
     payoff_scale,
+    phi_chi,
+    traveler_distribution,
+    traveler_mean,
+    traveler_pij,
+    verify_table,
 )
+from cooprob.estimators import _balanced_p_batch
+from cooprob.iteration import iterate2_limits, iterate3, iterate3_limits
 
 
 @pytest.mark.parametrize(
@@ -114,3 +139,83 @@ def test_numeric_policy_defaults_and_validation():
     assert policy.fp_max_iter == 10**6
     with pytest.raises(Exception):
         NumericPolicy(eps_root=-1.0)
+
+
+# --------------------------------------------- which functions take a policy
+
+
+def _read_logged_policy() -> tuple[NumericPolicy, list[str]]:
+    """A default NumericPolicy, and the log of every later read of its fields."""
+    reads: list[str] = []
+
+    class ReadLog(NumericPolicy):
+        def __getattribute__(self, name):
+            if name in ("eps_root", "fp_tol", "fp_max_iter"):
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    policy = ReadLog()
+    reads.clear()  # __post_init__ validates the fields
+    return policy, reads
+
+
+TWO_ATTRACTING = (39, 38, 28, 27, 26, 1)  # the oracle chooses between two attracting roots
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda policy: balanced_p3(PayoffTable3(*TWO_ATTRACTING), policy),
+        lambda policy: balanced_pn(TWO_ATTRACTING, policy=policy),
+        lambda policy: verify_table(PayoffTable3(*TWO_ATTRACTING), BalanceTarget(0.1, 0.0, 1.0, 1.0), policy),
+        lambda policy: iterate2(PayoffTable2(9, 8, 5, 2), 0.5, policy),
+        lambda policy: iterate3(PayoffTable3(10, 8, 7, 5, 4, 2), 0.5, policy),
+        lambda policy: iterate_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2), 0.5, policy),
+        lambda policy: iterate2_limits(GameTag.PRISONERS_DILEMMA, *np.array([[9.0, 8.0, 5.0, 2.0]]).T, policy=policy),
+        lambda policy: iterate3_limits(*np.array([[10.0, 8.0, 7.0, 5.0, 4.0, 2.0]]).T, policy=policy),
+    ],
+    ids=["balanced_p3", "balanced_pn", "verify_table", "iterate2", "iterate3", "iterate_asym",
+         "iterate2_limits", "iterate3_limits"],
+)
+def test_a_policy_parameter_is_read(call):
+    policy, reads = _read_logged_policy()
+    call(policy)
+    assert reads
+
+
+@pytest.mark.parametrize(
+    "call, solver",
+    [
+        (lambda policy: diner_p(DinerSpec(5.0, 3.5, 1.5, 1.0, n=3), policy), "balanced_p3"),
+        (lambda policy: diner_conjecture_test(2.5, 4, policy), "balanced_pn"),
+    ],
+    ids=["diner_p", "diner_conjecture_test"],
+)
+def test_the_diner_solvers_hand_their_policy_to_the_ladder_solver(monkeypatch, call, solver):
+    # the diner ladders have one balance root, so the oracle that would read
+    # the policy does not run; the policy still reaches the solver that runs it
+    seen = []
+    original = getattr(applications, solver)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(applications, solver, spy)
+    policy = NumericPolicy(eps_root=1e-3)
+    call(policy)
+    assert seen == [policy]
+
+
+def test_the_closed_forms_take_no_policy_and_no_class():
+    closed = (balanced_p, _balanced_p_batch, balanced_p_asym, traveler_pij, traveler_distribution,
+              traveler_mean, attrition_pij, attrition_distribution, balance_search)
+    for fn in closed:
+        assert "policy" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (iterate2, phi_chi):
+        assert "game_class" not in inspect.signature(fn).parameters, fn.__name__
+    assert [f.name for f in dataclasses.fields(Estimate)] == ["p", "method", "class_used", "roots"]
+    est = Estimate(0.1, "balanced", classify2(PayoffTable2(9, 8, 5, 2)))
+    assert est.q == 1.0 - 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.q = 0.5
