@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError, InternalError, UndefinedPairError
 from .estimators import _balanced_p_batch, balanced_p
 from .nplayer import balanced_p3, balanced_pn
@@ -156,6 +154,8 @@ class AttritionSpec:
 
 
 def _read_only_copy(values) -> np.ndarray:
+    import numpy as np
+
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
@@ -344,6 +344,8 @@ def public_goods_distribution(spec: PublicGoodsSpec) -> OptionDistribution:
     Pairwise reduction is level-independent, so U_i = i p* + (N - i) q*
     and W = N (N + 1) / 2.
     """
+    import numpy as np
+
     n = spec.options
     p_star = public_goods_p_star(spec.k)
     q_star = 1.0 - p_star
@@ -384,6 +386,8 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     which always selects full cooperation on the high claim. DomainError
     where the largest pair payoff, s + (steps - 1) v + t, overflows float64.
     """
+    import numpy as np
+
     if not math.isfinite(spec.s + (spec.steps - 1) * spec.v + spec.t):
         raise DomainError(f"payoff scale of {spec!r} overflows float64")
     gap = deltas * spec.v
@@ -398,12 +402,16 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
 
 def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
     """Probability that a balanced player keeps the higher of claims i, j."""
+    import numpy as np
+
     hi, lo = _level_pair(i, j, spec.steps, "claim")
     return float(_traveler_p_by_delta(spec, np.array([float(hi - lo)]))[0])
 
 
 def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     """Distribution over claim levels 0..N by direct pairwise summation."""
+    import numpy as np
+
     n = spec.steps
     p = _traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
     cum = np.concatenate(([0.0], np.cumsum(p)))
@@ -417,6 +425,8 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
 
 def traveler_mean(spec: TravelerSpec) -> float:
     """Expected claim value under the balanced distribution."""
+    import numpy as np
+
     dist = traveler_distribution(spec)
     claims = spec.s + spec.v * np.arange(spec.steps + 1)
     return float(np.dot(claims, dist.probabilities))
@@ -440,6 +450,8 @@ def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.nda
     """``paper`` mode's conceding probability as a function of the bid gap d:
     p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d), taken as 2 d / (x/2 + hypot(x/2, 2 d)),
     which neither cancels when x >> d nor overflows."""
+    import numpy as np
+
     half = spec.x / 2.0
     return 2.0 * deltas / (half + np.hypot(half, 2.0 * deltas))
 
@@ -457,6 +469,8 @@ def attrition_pij(spec: AttritionSpec, i: int, j: int, mode: str = "paper") -> f
     mode classifies the mapped table first; gaps above x/2 land in Chicken
     and take that family's root instead.
     """
+    import numpy as np
+
     hi, lo = _level_pair(i, j, spec.max_bid, "bid")
     _check_attrition_mode(mode)
     if mode == "paper":
@@ -473,6 +487,8 @@ def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDi
     of the batch form of :func:`balanced_p`, which gives every gap the same
     bits (and the same errors) as :func:`attrition_pij` does.
     """
+    import numpy as np
+
     _check_attrition_mode(mode)
     n = spec.max_bid
     deltas = np.arange(1, n + 1, dtype=float)

@@ -30,8 +30,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AmbiguousRootError,
     CooprobError,
@@ -367,6 +365,8 @@ def balanced_p(table: PayoffTable2) -> Estimate:
 def _balance_root2_batch(s0, s1, w0, w1):
     """Row-wise :func:`_balance_root2`, with the same operations in the same
     order: the rows' p, and the mask of rows on which it raises."""
+    import numpy as np
+
     h1 = w0 - s1
     g = np.sqrt(s0) * np.sqrt(w1)
     rho = np.maximum(np.abs(h1), g)
@@ -388,6 +388,8 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
     the scalar path raise, the first such row goes through :func:`balanced_p`
     and its error is raised with the row index in front of the message.
     """
+    import numpy as np
+
     payoffs = np.array(np.broadcast_arrays(a, b, c, d), dtype=np.float64)
     a, b, c, d = payoffs
     p = np.zeros(a.shape)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .errors import DegenerateWeightsError, DomainError, UnsupportedClassError
 from .estimators import weights2
 from .tables import (
@@ -101,6 +99,8 @@ def _fixed_point_batch(weights, arrays: tuple, p: np.ndarray, policy: NumericPol
     """(limits, converged) of :func:`_fixed_point` per lane, seeded by ``p``;
     ``weights(*arrays, p)`` gives (phi, chi) per lane. Converged lanes leave
     the active set, so a batch does not pay for its slowest lane everywhere."""
+    import numpy as np
+
     converged = np.zeros(p.shape[0], dtype=bool)
     idx = np.arange(p.shape[0])
     cur = arrays
@@ -194,6 +194,8 @@ def iterate2_limits(
     StagHunt lanes seeded on a repelling corner (p0 = 1) restart from 0.5,
     as in iterate2.
     """
+    import numpy as np
+
     a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
     p = np.full(a.shape[0], float(p0))
     if tag is GameTag.STAG_HUNT and p0 == 1.0:
@@ -212,5 +214,7 @@ def iterate3_limits(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch limits of the three-player balance map."""
+    import numpy as np
+
     arrays = tuple(np.asarray(x, dtype=float) for x in (f, g, h, j, k, m))
     return _fixed_point_batch(weights3, arrays, np.full(arrays[0].shape[0], float(p0)), policy)

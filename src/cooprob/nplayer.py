@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AmbiguousRootError,
     DegenerateWeightsError,
@@ -84,6 +82,8 @@ def cubic_coefficients(table: PayoffTable3) -> CubicCoefficients:
 # no solver calls this; kept because bench/tracing.py wraps it by name
 def _real_roots(desc_coeffs: list[float], eps_root: float) -> list[float]:
     """Real roots of a polynomial given by descending coefficients."""
+    import numpy as np
+
     if len(desc_coeffs) <= 1:
         return []
     roots = np.roots(desc_coeffs).tolist()
@@ -302,6 +302,8 @@ def _bernstein(w: list[float], p: float) -> float:
 
 def _power_form(beta: list[float]) -> np.ndarray:
     """Ascending power coefficients a_r = C(m, r) Delta^r b_0 of a Bernstein form."""
+    import numpy as np
+
     diffs = np.array(beta)
     out = np.empty(len(beta))
     for r, c in enumerate(_binomials(len(beta) - 1)):

@@ -233,6 +233,48 @@ def test_global_flags_accepted_before_and_after_subcommand():
     assert run_cli("--policy-tol", "1e-12", *table, "--policy-tol", "1e-3").returncode == 3
 
 
+def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # each flag given before the subcommand, after it, in both places and in
+    # neither, in turn; a value left over from one call would change the next
+    table = ("--table", "39,38,28,27,26,1")
+    traveler = ("app", "traveler", "--max", "4", "--min", "2", "--bonus", "2", "--steps", "2")
+    sequence = [
+        ["--format", "csv", "classify", "--table", "9,8,5,2"],
+        ["classify", "--table", "9,8,5,2"],
+        ["classify", "--table", "9,8,5,2", "--format", "text"],
+        ["--format", "csv", "classify", "--table", "9,8,5,2", "--format", "text"],
+        ["classify", "--table", "9,8,5,2"],
+        ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--p0", "0.25"],
+        ["estimate", "--table", "9,8,5,2", "--method", "oracle"],
+        ["--policy-tol", "1e-3", "estimate", "--table", "9,8,5,2", "--method", "oracle"],
+        ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-3"],
+        ["estimate", "--table", "9,8,5,2", "--method", "oracle"],
+        ["--policy-tol", "1e-12", "estimate3", *table, "--policy-tol", "1e-3"],
+        ["--policy-tol", "1e-3", "--policy-eps", "1e-2", "estimate3", *table],
+        ["estimate3", *table, "--policy-eps", "1e-2"],
+        ["estimate3", *table],
+        [*traveler, "--mean"],
+        [*traveler],
+        ["--format", "text", "equiprob", "--table", "10,8,7,5,4,2"],
+        ["equiprob", "--table", "9,8,5,2", "--players", "2"],
+        ["equiprob", "--table", "9,8,5,2"],
+        ["estimate", "--table", "9,8,5,2", "--bogus"],
+        ["estimate"],
+    ]
+    fresh = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        for argv in sequence:
+            fresh.append((main(argv), capsys.readouterr()))
+    reused = []
+    for argv in sequence:
+        reused.append((main(argv), capsys.readouterr()))
+    assert reused == fresh
+    assert cli._parser() is cli._parser()
+    # the sequence reaches every exit code the flags decide between
+    assert {code for code, _ in fresh} == {0, 3, 64}
+
+
 def test_policy_flags_change_the_numeric_policy(capsys):
     # two attracting roots, so the oracle picks one; stopped early by a loose
     # --policy-tol, its limit matches a root only within a loose --policy-eps

@@ -1,6 +1,7 @@
 """Three-player cubic, asymmetric coupling, and n-player ladders."""
 
 import functools
+import json
 import math
 import os
 import subprocess
@@ -33,7 +34,6 @@ from cooprob import (
     cubic_coefficients,
     diner_ladder,
     equiprobability3,
-    estimators,
     expected_payoff3,
     iterate_asym,
     iteration,
@@ -671,16 +671,41 @@ def test_solvers_report_every_balance_root_in_the_unit_interval():
                 _assert_reports_the_unit_roots(est, _mp_unit_roots(mp, _mp_side_h(mp, own, other)))
 
 
-def test_the_scalar_solvers_call_no_numpy(monkeypatch):
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} was called")
+def test_the_scalar_solvers_call_no_numpy():
+    # numpy is imported only inside the array functions, so neither the
+    # package, the CLI module nor a scalar solver loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = """if True:
+        import json, sys
 
-    for module in (estimators, iteration, nplayer):
-        monkeypatch.setattr(module, "np", NoNumpy())
-    assert balanced_p(PayoffTable2(9, 8, 5, 2)).p == pytest.approx((3.0 - SQRT3) / 2.0, abs=1e-15)
-    assert balanced_p3(PayoffTable3(10, 4, 1, -2, -2, -4)).roots == pytest.approx((0.0, 0.18614066163450715), abs=1e-15)
-    chain = (39, 38, 28, 27, 26, 1)  # two attracting roots: the oracle runs
-    assert balanced_p3(PayoffTable3(*chain)).p == balanced_pn(chain).p == pytest.approx(0.06940133328365998, abs=1e-12)
-    ex, ey = balanced_p_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2))
-    assert (ex.p, ey.p) == pytest.approx((0.36832267997260637, 0.5699786932785461), abs=1e-12)
+        def numpy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+
+        loaded = {}
+        import cooprob
+        loaded["import cooprob"] = numpy_modules()
+        import cooprob.cli
+        loaded["import cooprob.cli"] = numpy_modules()
+        from cooprob import AsymmetricTable2, PayoffTable2, PayoffTable3, balanced_p, balanced_p3, balanced_p_asym, balanced_pn
+        chain = (39, 38, 28, 27, 26, 1)  # two attracting roots: the oracle runs
+        ex, ey = balanced_p_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2))
+        values = [
+            balanced_p(PayoffTable2(9, 8, 5, 2)).p,
+            balanced_p3(PayoffTable3(10, 4, 1, -2, -2, -4)).roots,
+            balanced_p3(PayoffTable3(*chain)).p,
+            balanced_pn(chain).p,
+            [ex.p, ey.p],
+        ]
+        loaded["the scalar solvers"] = numpy_modules()
+        print(json.dumps({"loaded": loaded, "values": values}))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == {"import cooprob": [], "import cooprob.cli": [], "the scalar solvers": []}
+    p2, roots3, p3, pn, (px, py) = out["values"]
+    assert p2 == pytest.approx((3.0 - SQRT3) / 2.0, abs=1e-15)
+    assert roots3 == pytest.approx([0.0, 0.18614066163450715], abs=1e-15)
+    assert p3 == pn == pytest.approx(0.06940133328365998, abs=1e-12)
+    assert (px, py) == pytest.approx((0.36832267997260637, 0.5699786932785461), abs=1e-12)

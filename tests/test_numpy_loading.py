@@ -1,0 +1,147 @@
+"""Which entry points load numpy: the array functions import it themselves,
+so the scalar subcommands never load it. Every check runs in a fresh
+interpreter, since the test process has loaded numpy long before."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+
+
+def numpy_imports(importtime_stderr: str) -> list[str]:
+    """The numpy modules named in ``python -X importtime`` output."""
+    return [
+        name
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+        for name in [line.rsplit("|", 1)[-1].strip()]
+        if name.split(".")[0] == "numpy"
+    ]
+
+
+TABLES_JSON = [
+    {
+        "name": "duel",
+        "players": 2,
+        "table": {"a": 8, "b": 2, "c": -2, "d": -4},
+        "target": {"p": 0.5, "mu": 1.0, "p_tol": 0.01, "mu_tol": 0.05},
+    },
+    {
+        "name": "trio",
+        "players": 3,
+        "table": {"f": 10, "g": 8, "h": 7, "j": 5, "k": 4, "m": 2},
+        "target": {"p": 0.3333333333, "mu": 5.34, "p_tol": 0.01, "mu_tol": 0.05},
+    },
+]
+
+SCALAR_COMMANDS = [
+    ("classify", "--table", "9,8,5,2"),
+    *[("estimate", "--table", "9,8,5,2", "--method", m) for m in ("balanced", "maximin", "payoff-max", "oracle")],
+    ("estimate3", "--table", "10,8,7,5,4,2"),
+    ("estimate3", "--table", "39,38,28,27,26,1"),  # two attracting roots: the oracle runs
+    ("asym", "--table", "10,7,5,1,9,8,5,2"),
+    ("equiprob", "--table", "9,8,5,2"),
+    ("equiprob", "--table", "10,8,7,5,4,2"),
+    *[
+        ("app", "diner", "--r", r, "--s", s, "--u", u, "--w", "1", "--n", n)
+        for r, s, u, n in (("4", "3.5", "1.5", "2"), ("5", "3.5", "1.5", "3"), ("4", "3", "2", "4"), ("5", "3", "2", "6"))
+    ],
+    ("verify", "--file", "tables.json"),
+]
+
+ARRAY_COMMANDS = [
+    ("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"),
+    ("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"),
+    *[("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", m) for m in ("paper", "dispatch")],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [(argv, False) for argv in SCALAR_COMMANDS] + [(argv, True) for argv in ARRAY_COMMANDS],
+    ids=[" ".join(argv) for argv in SCALAR_COMMANDS + ARRAY_COMMANDS],
+)
+def test_only_the_array_subcommands_load_numpy(argv, loads_numpy, tmp_path):
+    (tmp_path / "tables.json").write_text(json.dumps(TABLES_JSON))
+    proc = fresh_python("-X", "importtime", "-m", "cooprob", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == " ".join(argv[:2] if argv[0] == "app" else argv[:1])
+    assert bool(numpy_imports(proc.stderr)) is loads_numpy
+
+
+# every function of the package that uses numpy, called with its arguments
+ARRAY_CALLS = {
+    "estimators._balance_root2_batch": "np.array([1.0, 2.0]), np.array([2.0, 5.0]), np.array([3.0, 1.0]), np.array([4.0, 3.0])",
+    "estimators._balanced_p_batch": "[9.0, 10.0], [8.0, 7.0], 5.0, [2.0, 1.0]",
+    "iteration._fixed_point_batch": (
+        "iteration.weights3, tuple(np.array([v]) for v in (10.0, 8.0, 7.0, 5.0, 4.0, 2.0)), "
+        "np.array([0.5]), tables.DEFAULT_POLICY"
+    ),
+    "iteration.iterate2_limits": "tables.GameTag.STAG_HUNT, [8.0], [9.0], [5.0], [2.0], 1.0",
+    "iteration.iterate3_limits": "[10.0], [8.0], [7.0], [5.0], [4.0], [2.0]",
+    "nplayer._real_roots": "[1.0, -3.0, 2.0], 1e-9",
+    "nplayer._power_form": "[1.0, 2.0, 4.0]",
+    "applications._read_only_copy": "[0.25, 0.75]",
+    "applications.public_goods_distribution": "applications.PublicGoodsSpec(r=100, k=1.5, options=4)",
+    "applications._traveler_p_by_delta": "applications.TravelerSpec(4, 2, 2, 2), np.array([1.0, 2.0])",
+    "applications.traveler_pij": "applications.TravelerSpec(4, 2, 2, 2), 2, 1",
+    "applications.traveler_distribution": "applications.TravelerSpec(100, 2, 2, 98)",
+    "applications.traveler_mean": "applications.TravelerSpec(100, 2, 2, 98)",
+    "applications._attrition_paper_by_delta": "applications.AttritionSpec(2.0, 4), np.array([1.0, 3.0])",
+    "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
+    "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",
+}
+
+PRELUDE = """if True:
+    from cooprob import applications, estimators, iteration, nplayer, tables
+    import numpy as np
+
+    def plain(x):
+        if isinstance(x, applications.OptionDistribution):
+            return plain((x.probabilities, x.weights, x.total))
+        if isinstance(x, (tuple, list)):
+            return [plain(v) for v in x]
+        return x.tolist() if hasattr(x, "tolist") else x
+"""
+
+
+def _functions_using_numpy() -> dict[str, bool]:
+    """Each package function whose body names ``np``, and whether it
+    imports numpy itself."""
+    found = {}
+    for path in sorted((ROOT / "src" / "cooprob").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == "np" for stmt in node.body for n in ast.walk(stmt)
+            ):
+                found[f"{path.stem}.{node.name}"] = any(
+                    isinstance(stmt, ast.Import) and [(a.name, a.asname) for a in stmt.names] == [("numpy", "np")]
+                    for stmt in node.body
+                )
+    return found
+
+
+def test_every_function_that_uses_numpy_imports_it_and_is_called_below():
+    assert _functions_using_numpy() == dict.fromkeys(ARRAY_CALLS, True)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CALLS))
+def test_an_array_function_called_first_imports_numpy_itself(name):
+    call = f"plain({name}({ARRAY_CALLS[name]}))"
+    proc = fresh_python("-c", PRELUDE + f"    print(repr({call}))\n")
+    assert proc.returncode == 0, proc.stderr
+    here: dict = {}
+    exec(PRELUDE, here)
+    assert proc.stdout.strip() == repr(eval(call, here))
