@@ -26,13 +26,7 @@ from dataclasses import dataclass, replace
 from .errors import DomainError, InternalError, UndefinedPairError
 from .estimators import _balanced_p_batch, balanced_p
 from .nplayer import balanced_p3, balanced_pn
-from .tables import (
-    DEFAULT_POLICY,
-    Estimate,
-    NumericPolicy,
-    PayoffTable2,
-    PayoffTable3,
-)
+from .tables import Estimate, PayoffTable2, PayoffTable3
 
 __all__ = [
     "DinerSpec",
@@ -258,7 +252,7 @@ def diner_ladder(spec: DinerSpec) -> list[float]:
     return ladder
 
 
-def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
+def diner_p(spec: DinerSpec) -> Estimate:
     """Closed-form balanced probability p = 2 - n / R_cb for n in {2, 3}.
 
     Cross-checked against the generic solver on the mapped table; a
@@ -268,7 +262,7 @@ def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate
         solved = balanced_p(diner_table2(spec))
         p = 2.0 - 2.0 / spec.r_cb
     elif spec.n == 3:
-        solved = balanced_p3(diner_table3(spec), policy)
+        solved = balanced_p3(diner_table3(spec))
         p = 2.0 - 3.0 / spec.r_cb
     else:
         raise DomainError("closed forms exist only for n in {2, 3}; see diner_conjecture_test")
@@ -279,9 +273,7 @@ def diner_p(spec: DinerSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate
     return replace(solved, p=p)
 
 
-def diner_conjecture_test(
-    r_cb: float, n: int, policy: NumericPolicy = DEFAULT_POLICY
-) -> ConjectureReport:
+def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
     """Compare the generic n-diner solve against the candidate form 2 - n/R_cb.
 
     Reports the numbers; asserts nothing. Valid for n >= 2 and
@@ -297,7 +289,7 @@ def diner_conjecture_test(
     s = u + 1.0
     r = w + r_cb
     spec = DinerSpec(r=r, s=s, u=u, w=w, n=n)
-    est = balanced_pn(diner_ladder(spec), n, policy)
+    est = balanced_pn(diner_ladder(spec), n)
     return ConjectureReport(
         n=n, r_cb=r_cb, p_solver=est.p, p_conjecture=2.0 - n / r_cb
     )
@@ -383,8 +375,11 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     applies, taken as g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), which
     squares nothing and so neither overflows nor underflows; at or above it
     the pair is coordination-flavored with (b-c)/(a-d) = delta v / (2t) >= 1/2,
-    which always selects full cooperation on the high claim. DomainError
-    where the largest pair payoff, s + (steps - 1) v + t, overflows float64.
+    which always selects full cooperation on the high claim. p is
+    ill-conditioned in t - g near the boundary, so t - g is formed as
+    (t steps - delta (r - s)) / steps, not from the rounded gap, where t steps
+    has room in float64. DomainError where the largest pair payoff,
+    s + (steps - 1) v + t, overflows float64.
     """
     import numpy as np
 
@@ -396,7 +391,12 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     pd = gap < t
     if np.any(pd):
         g = gap[pd]
-        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(t - g) * np.sqrt(0.25 * t + 0.75 * g))
+        if math.isfinite(2.0 * t * spec.steps):
+            # zero where the exact gap reaches t, which the rounded one missed
+            tg = np.maximum((t * spec.steps - deltas[pd] * (spec.r - spec.s)) / spec.steps, 0.0)
+        else:
+            tg = t - g
+        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(tg) * np.sqrt(0.25 * t + 0.75 * g))
     return p
 
 
@@ -425,9 +425,13 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
 
 def traveler_mean(spec: TravelerSpec) -> float:
     """Expected claim value under the balanced distribution."""
+    return _traveler_mean(spec, traveler_distribution(spec))
+
+
+def _traveler_mean(spec: TravelerSpec, dist: OptionDistribution) -> float:
+    """:func:`traveler_mean` from the spec's distribution, already built."""
     import numpy as np
 
-    dist = traveler_distribution(spec)
     claims = spec.s + spec.v * np.arange(spec.steps + 1)
     return float(np.dot(claims, dist.probabilities))
 

@@ -11,15 +11,7 @@ from pathlib import Path
 from .errors import CooprobError, DomainError, InvalidTableError
 from .estimators import _balance2, _mu2, balanced_p, expected_payoff2
 from .nplayer import balanced_p3, expected_payoff3
-from .tables import (
-    DEFAULT_POLICY,
-    GameClass,
-    NumericPolicy,
-    PayoffTable2,
-    PayoffTable3,
-    _tag2,
-    classify2,
-)
+from .tables import GameClass, PayoffTable2, PayoffTable3, _tag2, classify2
 
 __all__ = [
     "BalanceTarget",
@@ -78,15 +70,10 @@ class SearchResult:
     iterations: int
 
 
-def verify_table(
-    table: PayoffTable2 | PayoffTable3,
-    target: BalanceTarget,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> VerificationReport:
-    """Compute (p, mu) for the table and compare against the target; only a
-    three-player table reads ``policy``."""
+def verify_table(table: PayoffTable2 | PayoffTable3, target: BalanceTarget) -> VerificationReport:
+    """Compute (p, mu) for the table and compare against the target."""
     if isinstance(table, PayoffTable3):
-        est = balanced_p3(table, policy)
+        est = balanced_p3(table)
         mu = expected_payoff3(table, est.p)
     else:
         est = balanced_p(table)

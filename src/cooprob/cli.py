@@ -166,19 +166,10 @@ def _boundary_warnings(game_class) -> list[str]:
     return [f"classification hit boundary equality {f}" for f in sorted(game_class.boundary_flags)]
 
 
-def _policy_from(args) -> NumericPolicy:
-    kwargs = {}
-    if args.policy_eps is not None:
-        kwargs["eps_root"] = _parse_number(args.policy_eps, "--policy-eps")
-    if args.policy_tol is not None:
-        kwargs["fp_tol"] = _parse_number(args.policy_tol, "--policy-tol")
-    return NumericPolicy(**kwargs)
-
-
 # ------------------------------------------------------------- commands
 
 
-def _cmd_classify(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_classify(args) -> tuple[dict, dict, list[str]]:
     values = _parse_table_values(args.table, 4, "--table")
     table = PayoffTable2(*values)
     cls = classify2(table)
@@ -186,7 +177,7 @@ def _cmd_classify(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, _class_payload(cls), _boundary_warnings(cls)
 
 
-def _cmd_estimate(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
     values = _parse_table_values(args.table, 4, "--table")
     table = PayoffTable2(*values)
     method = args.method
@@ -219,6 +210,8 @@ def _cmd_estimate(args, policy) -> tuple[dict, dict, list[str]]:
         p0 = _parse_number(args.p0, "--p0")
         inputs["p0"] = p0
         cls = classify2(table)
+        tol = args.policy_tol
+        policy = NumericPolicy() if tol is None else NumericPolicy(fp_tol=_parse_number(tol, "--policy-tol"))
         trace = iterate2(table, p0, policy)
         payload = {
             "method": "oracle",
@@ -233,10 +226,10 @@ def _cmd_estimate(args, policy) -> tuple[dict, dict, list[str]]:
     raise UsageError(f"unknown method {method!r}")
 
 
-def _cmd_estimate3(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_estimate3(args) -> tuple[dict, dict, list[str]]:
     values = _parse_table_values(args.table, 6, "--table")
     table = PayoffTable3(*values)
-    est = balanced_p3(table, policy)
+    est = balanced_p3(table)
     coeffs = cubic_coefficients(table)
     payload = _estimate_payload(est)
     payload["coefficients"] = list(coeffs.as_tuple())
@@ -244,7 +237,7 @@ def _cmd_estimate3(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, _boundary_warnings(est.class_used)
 
 
-def _cmd_asym(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_asym(args) -> tuple[dict, dict, list[str]]:
     values = _parse_table_values(args.table, 8, "--table")
     table = AsymmetricTable2(*values)
     est_x, est_y = balanced_p_asym(table)
@@ -254,7 +247,7 @@ def _cmd_asym(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, warnings
 
 
-def _cmd_equiprob(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_equiprob(args) -> tuple[dict, dict, list[str]]:
     parts = [p for p in args.table.split(",") if p.strip()]
     players = args.players
     if players is None:
@@ -273,7 +266,7 @@ def _cmd_equiprob(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, []
 
 
-def _cmd_app_diner(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_app_diner(args) -> tuple[dict, dict, list[str]]:
     r = _parse_number(args.r, "--r")
     s = _parse_number(args.s, "--s")
     u = _parse_number(args.u, "--u")
@@ -282,7 +275,7 @@ def _cmd_app_diner(args, policy) -> tuple[dict, dict, list[str]]:
     spec = apps.DinerSpec(r=r, s=s, u=u, w=w, n=n)
     inputs = {"r": r, "s": s, "u": u, "w": w, "n": n}
     if n in (2, 3):
-        est = apps.diner_p(spec, policy)
+        est = apps.diner_p(spec)
         payload = {"n": n, "r_cb": spec.r_cb, "p": est.p, "q": est.q}
         if n == 2:
             payload["table"] = apps.diner_table2(spec).to_dict()
@@ -290,7 +283,7 @@ def _cmd_app_diner(args, policy) -> tuple[dict, dict, list[str]]:
             payload["table"] = apps.diner_table3(spec).to_dict()
         payload.update(_class_payload(est.class_used))
         return inputs, payload, _boundary_warnings(est.class_used)
-    report = apps.diner_conjecture_test(spec.r_cb, n, policy)
+    report = apps.diner_conjecture_test(spec.r_cb, n)
     payload = {
         "n": n,
         "r_cb": report.r_cb,
@@ -301,7 +294,7 @@ def _cmd_app_diner(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, []
 
 
-def _cmd_app_public_goods(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_app_public_goods(args) -> tuple[dict, dict, list[str]]:
     r = _parse_number(args.r, "--r")
     k = _parse_number(args.k, "--k")
     options = _parse_int(args.options, "--options")
@@ -316,7 +309,7 @@ def _cmd_app_public_goods(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, []
 
 
-def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_app_traveler(args) -> tuple[dict, dict, list[str]]:
     r = _parse_number(getattr(args, "max"), "--max")
     s = _parse_number(getattr(args, "min"), "--min")
     t = _parse_number(args.bonus, "--bonus")
@@ -330,11 +323,11 @@ def _cmd_app_traveler(args, policy) -> tuple[dict, dict, list[str]]:
         **_distribution_payload(dist),
     }
     if args.mean:
-        payload["mean"] = apps.traveler_mean(spec)
+        payload["mean"] = apps._traveler_mean(spec, dist)
     return inputs, payload, []
 
 
-def _cmd_app_attrition(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_app_attrition(args) -> tuple[dict, dict, list[str]]:
     x = _parse_number(args.x, "--x")
     max_bid = _parse_int(args.max_bid, "--max-bid")
     spec = apps.AttritionSpec(x=x, max_bid=max_bid)
@@ -349,13 +342,13 @@ def _cmd_app_attrition(args, policy) -> tuple[dict, dict, list[str]]:
     return inputs, payload, warnings
 
 
-def _cmd_verify(args, policy) -> tuple[dict, dict, list[str]]:
+def _cmd_verify(args) -> tuple[dict, dict, list[str]]:
     entries = bal.load_table_entries(args.file)
     inputs = {"file": args.file}
     rows = []
     all_passed = True
     for entry in entries:
-        report = bal.verify_table(entry.table, entry.target, policy)
+        report = bal.verify_table(entry.table, entry.target)
         all_passed = all_passed and report.passed
         rows.append(
             {
@@ -457,8 +450,7 @@ def _render(envelope: dict, fmt: str) -> str:
 
 def _add_globals(parser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"))
-    parser.add_argument("--policy-eps", help="override the root-matching epsilon (eps_root)")
-    parser.add_argument("--policy-tol", help="override fixed-point tolerance")
+    parser.add_argument("--policy-tol", help="step tolerance of estimate --method oracle")
 
 
 def build_parser() -> _Parser:
@@ -546,8 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        policy = _policy_from(args)
-        inputs, result, warnings = args.func(args, policy)
+        inputs, result, warnings = args.func(args)
         command = args.command if args.command != "app" else f"app {args.app_command}"
         envelope = {
             "command": command,

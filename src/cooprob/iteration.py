@@ -31,7 +31,6 @@ __all__ = [
     "iterate_asym",
     "iterate2_limits",
     "iterate3_limits",
-    "weights3",
 ]
 
 
@@ -72,11 +71,10 @@ def _corner_repels(a, b, c, d):
     return (c - d) > (2.0 * b - a - c)
 
 
-def _fixed_point(weights, p: float, policy: NumericPolicy, keep: bool = True) -> IterationTrace:
+def _fixed_point(weights, p: float, policy: NumericPolicy) -> IterationTrace:
     """Iterate p <- phi / (phi + chi) from a seed p in [0, 1], ``weights(p)``
     giving (phi, chi), until a step moves at most fp_tol or fp_max_iter steps
-    are spent. Without ``keep`` the trace holds only the seed and the last
-    iterate."""
+    are spent."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"starting point p0={p!r} outside [0, 1]")
     p = float(p)
@@ -87,12 +85,10 @@ def _fixed_point(weights, p: float, policy: NumericPolicy, keep: bool = True) ->
         if total == 0.0:
             raise DegenerateWeightsError(f"phi + chi = 0 at iterate {p!r}")
         prev, p = p, phi / total
-        if keep:
-            iterates.append(p)
+        iterates.append(p)
         if abs(p - prev) <= policy.fp_tol:
             break
-    kept = iterates if keep else [iterates[0], p]
-    return IterationTrace(tuple(kept), abs(p - prev) <= policy.fp_tol, n)
+    return IterationTrace(tuple(iterates), abs(p - prev) <= policy.fp_tol, n)
 
 
 def _fixed_point_batch(weights, arrays: tuple, p: np.ndarray, policy: NumericPolicy):

@@ -25,14 +25,11 @@ from .errors import (
     UnsupportedClassError,
 )
 from .estimators import EquiprobabilityReport, Leaning, _balance_root2
-from .iteration import _fixed_point
 from .tables import (
-    DEFAULT_POLICY,
     AsymmetricTable2,
     Estimate,
     GameClass,
     GameTag,
-    NumericPolicy,
     PayoffTable3,
     classify2,
     classify3,
@@ -91,20 +88,21 @@ def _real_roots(desc_coeffs: list[float], eps_root: float) -> list[float]:
     return sorted(r.real for r in roots if abs(r.imag) <= eps_root * max(1.0, scale))
 
 
-def balanced_p3(table: PayoffTable3, policy: NumericPolicy = DEFAULT_POLICY) -> Estimate:
+def balanced_p3(table: PayoffTable3) -> Estimate:
     """Balanced cooperation probability for a three-player dilemma table.
 
     The table (f, g, h, j, k, m) is the n = 3 dilemma ladder, equalities
     allowed, and p comes from the ladder solver of :func:`balanced_pn`. Root
     rule: a lone root in [0, 1] wins, else the lone attracting one (map slope
-    below 1 in magnitude), else the attracting root iteration from 1/2
-    converges to; anything else raises ``AmbiguousRootError``. ``roots``
-    lists every balance root in [0, 1], as :func:`balanced_pn` does.
+    below 1 in magnitude), else the attracting root that iteration from 1/2
+    reaches first (see :func:`_orbit_root`); anything else raises
+    ``AmbiguousRootError``. ``roots`` lists every balance root in [0, 1], as
+    :func:`balanced_pn` does.
     """
     cls = classify3(table)
     if cls.tag is not GameTag.PRISONERS_DILEMMA:
         raise UnsupportedClassError("balanced_p3 requires the dilemma chain f>=g>=h>=j>=k>=m")
-    p, roots = _ladder_root(list(table.values()), policy)
+    p, roots = _ladder_root(list(table.values()))
     return Estimate(p, "balanced", cls, roots=tuple(roots))
 
 
@@ -156,7 +154,7 @@ def balanced_p_asym(table: AsymmetricTable2) -> tuple[Estimate, Estimate]:
     side, the weights psi = F (F' + chi'(p)) and omega = F' (a - b) + chi'(p) (c - d)
     are affine in p and nonnegative. The root rule is that of :func:`balanced_p3`;
     a composed Moebius map has at most one attracting fixed point, so the
-    degree-2 closed form decides, no iteration runs, and no policy is read.
+    degree-2 closed form decides and no iteration runs.
     ``roots`` lists each side's balance roots in [0, 1]. A side whose payoff
     scale overflows float64 raises DomainError.
     """
@@ -331,9 +329,11 @@ def psi_omega_coeffs(ladder) -> tuple[np.ndarray, np.ndarray]:
     return _power_form(psi), _power_form(omega)
 
 
-# a piece narrower than this whose coefficients still change sign holds one
-# root; a fixed width, so a loose eps_root cannot make halves of [0, 1] roots
+# a piece narrower than this whose coefficients still change sign holds one root
 _ROOT_WIDTH = 1e-12
+
+# :func:`_orbit_root` reaches a root within this distance, or gives up after this many steps
+_ORBIT_REACH, _ORBIT_BUDGET = 1e-9, 10**6
 
 
 def _halves(b: list[float]) -> tuple[list[float], list[float]]:
@@ -364,7 +364,7 @@ def _reduced(wpsi: list[float], womega: list[float]) -> tuple[list[float], list[
 
 def _balance_root_affine(wpsi: list[float], womega: list[float]) -> tuple[float, list[float]]:
     """:func:`_balance_root` of reduced weights of degree at most 1, which
-    reads no policy: degree 1 is raised to 2 by the factor p + q, and then
+    never iterates: degree 1 is raised to 2 by the factor p + q, and then
     h has at most one root in (0, 1), besides 0 where psi vanishes and 1
     where omega does, which :func:`estimators._balance_root2` picks from."""
     p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
@@ -374,7 +374,37 @@ def _balance_root_affine(wpsi: list[float], womega: list[float]) -> tuple[float,
     return p, sorted(ends | {p})
 
 
-def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attracting: list[float]) -> float:
+    """The attracting root among ``roots`` that iteration of the map
+    p <- psi / (psi + omega) from 1/2 reaches, psi and omega given by their
+    weighted Bernstein coefficients.
+
+    The orbit stops at its first iterate within _ORBIT_REACH of a root. It
+    looks only after a step of at most twice that, as every step that close
+    to an attracting root is. AmbiguousRootError where the root reached
+    repels or where _ORBIT_BUDGET steps reach none.
+    """
+    p, look = 0.5, 2.0 * _ORBIT_REACH
+    for _ in range(_ORBIT_BUDGET):
+        psi = _bernstein(wpsi, p)
+        total = psi + _bernstein(womega, p)
+        if total == 0.0:
+            raise DegenerateWeightsError(f"psi + omega = 0 at iterate {p!r}")
+        prev, p = p, psi / total
+        if abs(p - prev) <= look:
+            near = min(roots, key=lambda r: abs(r - p))
+            if abs(near - p) <= _ORBIT_REACH:
+                if near in attracting:
+                    return near
+                why = f"reaches the repelling root {near!r}"
+                break
+    else:
+        why = f"reaches no root in {_ORBIT_BUDGET} steps"
+    msg = f"iteration from 1/2 {why} among the balance roots {roots!r} in [0, 1]"
+    raise AmbiguousRootError(msg, tuple(roots))
+
+
+def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[float]]:
     """Balanced p of weights psi and omega, and every root of
     h = p omega - q psi in [0, 1].
 
@@ -437,26 +467,21 @@ def _balance_root(wpsi: list[float], womega: list[float], policy: NumericPolicy)
     if len(attracting) == 1:
         return attracting[0], roots
     if attracting:
-        trace = _fixed_point(weights, 0.5, policy, keep=False)
-        nearest = min(attracting, key=lambda r: abs(r - trace.limit))
-        if trace.converged and abs(nearest - trace.limit) <= max(policy.eps_root, 1e-9):
-            return nearest, roots
+        return _orbit_root(wpsi, womega, roots, attracting), roots
     raise AmbiguousRootError(
         f"no single attracting root among the balance roots {roots!r} in [0, 1]", tuple(roots)
     )
 
 
-def _ladder_root(vals: list[float], policy: NumericPolicy) -> tuple[float, list[float]]:
+def _ladder_root(vals: list[float]) -> tuple[float, list[float]]:
     """:func:`_balance_root` of a weakly decreasing dilemma ladder, psi raised
     to omega's degree by the factor p + q = 1: S'_k = S_k + S_{k-1}."""
     bpsi, bomega = _ladder_bernstein(vals)
     wpsi = _weighted(bpsi)
-    return _balance_root([s + r for s, r in zip(wpsi + [0.0], [0.0] + wpsi)], _weighted(bomega), policy)
+    return _balance_root([s + r for s, r in zip(wpsi + [0.0], [0.0] + wpsi)], _weighted(bomega))
 
 
-def balanced_pn(
-    ladder, n: int | None = None, policy: NumericPolicy = DEFAULT_POLICY
-) -> Estimate:
+def balanced_pn(ladder, n: int | None = None) -> Estimate:
     """Balanced cooperation probability for an n-player dilemma ladder.
 
     psi and omega are evaluated in Bernstein form, whose coefficients are
@@ -465,6 +490,6 @@ def balanced_pn(
     among them is the root rule of :func:`balanced_p3`. Reduces
     exactly to the n = 2 and n = 3 solvers.
     """
-    p, roots = _ladder_root(_validate_ladder(ladder, n), policy)
+    p, roots = _ladder_root(_validate_ladder(ladder, n))
     cls = GameClass(GameTag.PRISONERS_DILEMMA)
     return Estimate(p, "balanced", cls, roots=tuple(roots))

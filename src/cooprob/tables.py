@@ -179,28 +179,15 @@ class AsymmetricTable2:
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances governing roots and iteration.
+    """Stop rule of the fixed-point oracles (``iterate2``, ``iterate3``,
+    ``iterate_asym``, ``iterate2_limits``, ``iterate3_limits``): a step of at
+    most ``fp_tol`` has converged, and ``fp_max_iter`` steps are the most
+    taken. No solver takes a policy (see ``nplayer._orbit_root``)."""
 
-    ``eps_root`` is the distance within which the oracle's limit must match
-    an attracting root; no solver widens [0, 1] by it. ``fp_tol`` and
-    ``fp_max_iter`` control fixed-point iteration.
-
-    Read by the iteration oracles (``iterate2``, ``iterate3``,
-    ``iterate_asym``, ``iterate2_limits``, ``iterate3_limits``) and by the
-    solvers that may ask the oracle to choose between attracting roots:
-    ``balanced_p3``, ``balanced_pn``, and through them ``diner_p`` (n = 3),
-    ``diner_conjecture_test`` and ``verify_table`` (three-player tables).
-    The closed forms for 2x2 tables, the two-sided game and the applied
-    distributions use no tolerance and take no policy.
-    """
-
-    eps_root: float = 1e-9
     fp_tol: float = 1e-12
     fp_max_iter: int = 10**6
 
     def __post_init__(self) -> None:
-        if not (self.eps_root >= 0 and math.isfinite(self.eps_root)):
-            raise DomainError("eps_root must be finite and nonnegative")
         if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
             raise DomainError("fp_tol must be finite and positive")
         if self.fp_max_iter < 1:

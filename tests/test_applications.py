@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,16 +124,27 @@ def test_payoff_scale_overflow_is_a_domain_error(build):
         (TravelerSpec(1.0000001e160, 1e160, 1e160, 10), 1),  # (g + t)^2 overflows float64
         (TravelerSpec(1e-300, 5e-301, 5e-301, 9), 1),  # 4 g^2 underflows
         (TravelerSpec(4, 2, 2, 2_000_000), 1_999_999),  # (g + t)^2 - 4 g^2 cancels
+        (TravelerSpec(1.1e307, 1e307, 1e307, 1000), 500),  # t steps overflows float64
     ],
 )
 def test_traveler_pij_is_the_high_precision_root(spec, gap):
-    # the reference takes the gap g = gap * v as float64 forms it: p is
-    # ill-conditioned in g near the bonus t, so only the formula is under test
+    # the reference takes the exact gap of the spec: p is ill-conditioned in
+    # t - g near the bonus t, where the last case's float64 gap is 4.9e-14 off
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        g, t = mpmath.mpf(gap * spec.v), mpmath.mpf(spec.t)
+        g = gap * (mpmath.mpf(spec.r) - mpmath.mpf(spec.s)) / spec.steps
+        t = mpmath.mpf(spec.t)
         want = 2 * g / (g + t + mpmath.sqrt((t - g) * (t + 3 * g)))
     assert abs(traveler_pij(spec, gap, 0) - want) <= 1e-15 * want
+
+
+def test_a_gap_below_the_bonus_only_by_rounding_cooperates():
+    # 25 v rounds below t, while the exact gap 25 (r - s) / 37 is not below it:
+    # t - g, formed from the exact spec, is then clamped at 0, not square-rooted
+    spec = TravelerSpec(5.029648233610368, 2.609292184507319, 1.6353757088534115, 37)
+    assert 25 * spec.v < spec.t
+    assert traveler_pij(spec, 25, 0) == 1.0
+    assert np.isfinite(traveler_distribution(spec).weights).all()
 
 
 # ----------------------------------------------------------------- diner
@@ -362,6 +374,23 @@ def test_traveler_means():
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_traveler_cli_mean_builds_the_distribution_once(monkeypatch, capsys, fmt):
+    golden = json.loads((Path(__file__).parent / "data" / "app_golden.json").read_text())
+    command = f"app traveler --max 12 --min 4 --bonus 3 --steps 5 --mean --format {fmt}"
+    calls = []
+    original = applications.traveler_distribution
+
+    def spy(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(applications, "traveler_distribution", spy)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == golden[command]
+    assert calls == [TravelerSpec(12.0, 4.0, 3.0, 5)]
+
+
 def test_traveler_single_step_spec():
     # two options only; v = r - s lands exactly in the dilemma branch here
     spec = TravelerSpec(r=5.0, s=3.0, t=3.0, steps=1)
@@ -537,11 +566,11 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
 
 
 def test_attrition_dispatch_cli_ignores_the_policy_flags(capsys):
-    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-eps
-    # 1e-3 sets eps_root, which the closed form does not use
+    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-tol
+    # 1e-3 sets the oracle's step tolerance, which the closed form does not use
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
     want = [float(f"{w:.12g}") for w in _dispatch_reference(AttritionSpec(x=8.001, max_bid=10))]
-    for extra in (["--policy-eps", "1e-3"], []):
+    for extra in (["--policy-tol", "1e-3"], []):
         assert main(args + extra) == 0
         assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
 

@@ -9,7 +9,6 @@ import pytest
 from cooprob import (
     AsymmetricTable2,
     GameTag,
-    NumericPolicy,
     PayoffTable2,
     balanced_p,
     balanced_p_asym,
@@ -340,11 +339,10 @@ def _weight_pairs():
 
 
 def test_the_degree_two_rule_is_the_subdivision_path():
-    policy = NumericPolicy()
     for wpsi, womega in _weight_pairs():
-        p, roots = nplayer._balance_root(wpsi, womega, policy)
+        p, roots = nplayer._balance_root(wpsi, womega)
         assert p == _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
-        p3, roots3 = nplayer._balance_root(_raised(wpsi), _raised(womega), policy)
+        p3, roots3 = nplayer._balance_root(_raised(wpsi), _raised(womega))
         # Brent's method stops within 1e-15 + 8.9e-16 |p| of the root
         assert p3 == pytest.approx(p, rel=4e-15, abs=2e-15), (wpsi, womega)
         assert roots3 == pytest.approx(roots, rel=4e-15, abs=2e-15), (wpsi, womega)
@@ -372,7 +370,7 @@ def test_the_core_solves_degree_two_without_subdivision(monkeypatch):
     ],
 )
 def test_the_degree_two_rule_at_the_ends(weights, p, roots):
-    got, got_roots = nplayer._balance_root(*weights, NumericPolicy())
+    got, got_roots = nplayer._balance_root(*weights)
     assert got == pytest.approx(p, abs=1e-15)
     assert got_roots == pytest.approx(roots, abs=1e-15)
 
@@ -380,7 +378,7 @@ def test_the_degree_two_rule_at_the_ends(weights, p, roots):
 def test_the_identity_map_keeps_the_cores_error():
     # psi = p and omega = q: every p balances
     with pytest.raises(AmbiguousRootError) as err:
-        nplayer._balance_root([0.0, 1.0], [1.0, 0.0], NumericPolicy())
+        nplayer._balance_root([0.0, 1.0], [1.0, 0.0])
     assert err.value.candidates == (0.0, 1.0)
     with pytest.raises(AmbiguousRootError):
         estimators._balance_root2(0.0, 1.0, 1.0, 0.0)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_asym_runs_no_oracle(monkeypatch):
         raise AssertionError("the fixed-point oracle ran")
 
     monkeypatch.setattr(iteration, "_fixed_point", no_oracle)
-    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", no_oracle)
     for table in _two_sided_draws():
         ex, ey = balanced_p_asym(table)
         assert 0.0 < ex.p < 1.0 and 0.0 < ey.p < 1.0
@@ -384,7 +385,7 @@ def test_lone_repelling_root_is_returned_without_the_oracle(monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran on a single-root table")
 
-    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", no_oracle)
     p3 = balanced_p3(PayoffTable3(*LONE_REPELLING)).p
     assert p3 == pytest.approx(0.6404385792148, abs=1e-12)
     assert balanced_pn(list(LONE_REPELLING)).p == pytest.approx(p3, abs=1e-12)
@@ -507,7 +508,7 @@ def test_trial_20_needs_no_oracle(monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran although no rival root attracts")
 
-    monkeypatch.setattr(nplayer, "_fixed_point", no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", no_oracle)
     est = balanced_pn(ladder.tolist())
     assert len([r for r in est.roots if 0.0 <= r <= 1.0]) == 3
     assert est.p == pytest.approx(0.9996058448564662, abs=1e-12)
@@ -540,7 +541,7 @@ def test_trial_29_returns_the_lone_attracting_root(monkeypatch):
     for _ in range(30):
         n = int(rng.integers(2, 13))
         ladder = np.cumsum(rng.exponential(1, 2 * n) * 10 ** rng.uniform(-3, 3, 2 * n))[::-1]
-    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", _no_oracle)
     est = balanced_pn(ladder.tolist())
     assert len(est.roots) == 3
     assert est.p == pytest.approx(0.92956197575641, abs=1e-12)
@@ -550,7 +551,7 @@ def test_trial_29_returns_the_lone_attracting_root(monkeypatch):
 def test_long_random_ladders_need_no_oracle(monkeypatch, n):
     # n = 100 has three roots, of which only the first attracts; n = 600 has one
     ladder = np.cumsum(np.random.default_rng(0).exponential(1, 2 * n))[::-1].tolist()
-    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", _no_oracle)
     est = balanced_pn(ladder)
     assert est.p == est.roots[0]
     assert [abs(_slope(ladder, r)) < 1.0 for r in est.roots] == [True] + [False] * (len(est.roots) - 1)
@@ -574,7 +575,7 @@ ALL_REPELLING = [944.67, 934.62, 934.45, 934.4, 934.25, 933.76, 536.3, 527.96, 5
 
 
 def test_all_repelling_roots_raise_with_the_candidates(monkeypatch):
-    monkeypatch.setattr(nplayer, "_fixed_point", _no_oracle)
+    monkeypatch.setattr(nplayer, "_orbit_root", _no_oracle)
     with pytest.raises(AmbiguousRootError) as info:
         balanced_pn(ALL_REPELLING)
     roots = info.value.candidates
@@ -582,6 +583,78 @@ def test_all_repelling_roots_raise_with_the_candidates(monkeypatch):
     assert all(abs(_slope(ALL_REPELLING, r)) > 1.3 for r in roots)
     for r in roots:
         assert _recursion_map(ALL_REPELLING, r) == pytest.approx(r, abs=1e-12)
+
+
+def _exact_power_form(beta):
+    """Ascending power coefficients of sum_k C(m, k) b_k p^k q^(m - k), exactly."""
+    m = len(beta) - 1
+    return [
+        sum(math.comb(m, k) * math.comb(m - k, r - k) * (-1) ** (r - k) * b for k, b in enumerate(beta[: r + 1]))
+        for r in range(m + 1)
+    ]
+
+
+def _orbit_after(ladder, steps, bits=160):
+    """Where the balance map's orbit from 1/2 is after ``steps`` steps, in
+    ``bits``-bit fixed point (48 digits), with psi and omega in power form
+    from the exact payoffs, scaled to integers by one denominator."""
+    psi, omega = map(_exact_power_form, nplayer._ladder_bernstein([Fraction(v) for v in ladder]))
+    den = math.lcm(*(c.denominator for c in psi + omega))
+    one = 1 << bits
+    psi, omega = ([int(c * den) * one for c in reversed(cs)] for cs in (psi, omega))
+
+    def horner(cs, x):
+        acc = 0
+        for c in cs:
+            acc = (acc * x >> bits) + c
+        return acc
+
+    x = one // 2
+    for _ in range(steps):
+        s, o = horner(psi, x), horner(omega, x)
+        x = (s << bits) // (s + o)
+    return Fraction(x, one)
+
+
+# two attracting roots each, the one that iteration from 1/2 reaches with map
+# slope -0.9998; a step tolerance of 1e-12 never stopped that orbit
+SLOW_ATTRACTING = [
+    ([128.64, 127.08, 126.4, 126.39, 56.08, 55.84, 47.0, 44.63, 43.84, 1.92, 1.9, 0.47], 0.9337273571569678),
+    ([81.73, 76.95, 76.69, 76.65, 49.1, 48.58, 48.49, 48.42, 47.83, 38.15, 37.76, 0.27], 0.8364788542690764),
+]
+
+
+@pytest.mark.parametrize("ladder, p", SLOW_ATTRACTING)
+def test_the_orbit_settles_a_slowly_attracting_root(ladder, p):
+    est = balanced_pn(ladder)
+    assert est.p == p and len(est.roots) == 3
+    assert sum(abs(_slope(ladder, r)) < 1.0 for r in est.roots) == 2
+    # after 2e5 steps the exact orbit is within 1e-17 of its limit
+    assert abs(_orbit_after(ladder, 200_000) - Fraction(p)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "chain, roots",
+    [
+        ((15.98, 15.95, 15.63, 15.6, 15.57, 14.96), (0.11717925325560831, 0.5000000000000105, 0.8828207467443815)),
+        ((9, 9, 8, 8, 8, 6), (0.0, 0.5, 1.0)),
+    ],
+)
+def test_an_orbit_seeded_on_a_repelling_root_raises_naming_it(chain, roots):
+    # two attracting roots around a repelling one at 1/2, where the orbit
+    # starts and stays; no tie-break is made
+    with pytest.raises(AmbiguousRootError, match=f"reaches the repelling root {roots[1]!r} ") as info:
+        balanced_p3(PayoffTable3(*chain))
+    assert info.value.candidates == roots
+
+
+def test_an_orbit_that_reaches_no_root_raises_after_its_budget():
+    # the attracting root 0.9505 has map slope -0.9999992: the orbit from 1/2
+    # is still about 1e-4 away from it after 10^6 steps
+    ladder = [127.29, 126.73, 126.28, 126.25, 79.7, 79.66, 62.63, 62.46, 61.74, 6.44, 5.48, 0.04]
+    with pytest.raises(AmbiguousRootError, match=r"^iteration from 1/2 reaches no root in 1000000 steps among") as info:
+        balanced_pn(ladder)
+    assert len(info.value.candidates) == 3
 
 
 def test_balanced_pn_rejects_ladders_past_float64_binomials():

@@ -98,7 +98,9 @@ ARRAY_CALLS = {
     "applications._traveler_p_by_delta": "applications.TravelerSpec(4, 2, 2, 2), np.array([1.0, 2.0])",
     "applications.traveler_pij": "applications.TravelerSpec(4, 2, 2, 2), 2, 1",
     "applications.traveler_distribution": "applications.TravelerSpec(100, 2, 2, 98)",
-    "applications.traveler_mean": "applications.TravelerSpec(100, 2, 2, 98)",
+    "applications._traveler_mean": (
+        "applications.TravelerSpec(100, 2, 2, 98), applications.traveler_distribution(applications.TravelerSpec(100, 2, 2, 98))"
+    ),
     "applications._attrition_paper_by_delta": "applications.AttritionSpec(2.0, 4), np.array([1.0, 3.0])",
     "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
     "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",

@@ -1,5 +1,6 @@
 """Classification, table containers, and the numeric policy."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -9,8 +10,6 @@ import pytest
 
 from cooprob import (
     AsymmetricTable2,
-    BalanceTarget,
-    DinerSpec,
     DomainError,
     Estimate,
     GameTag,
@@ -18,7 +17,6 @@ from cooprob import (
     NumericPolicy,
     PayoffTable2,
     PayoffTable3,
-    applications,
     attrition_distribution,
     attrition_pij,
     balance_search,
@@ -40,6 +38,7 @@ from cooprob import (
     verify_table,
 )
 from cooprob.estimators import _balanced_p_batch
+from cooprob import iteration, nplayer
 from cooprob.iteration import iterate2_limits, iterate3, iterate3_limits
 
 
@@ -134,11 +133,13 @@ def test_payoff_scale():
 
 def test_numeric_policy_defaults_and_validation():
     policy = NumericPolicy()
-    assert policy.eps_root == 1e-9
+    assert [f.name for f in dataclasses.fields(NumericPolicy)] == ["fp_tol", "fp_max_iter"]
     assert policy.fp_tol == 1e-12
     assert policy.fp_max_iter == 10**6
-    with pytest.raises(Exception):
-        NumericPolicy(eps_root=-1.0)
+    with pytest.raises(DomainError):
+        NumericPolicy(fp_tol=-1.0)
+    with pytest.raises(DomainError):
+        NumericPolicy(fp_max_iter=0)
 
 
 # --------------------------------------------- which functions take a policy
@@ -150,7 +151,7 @@ def _read_logged_policy() -> tuple[NumericPolicy, list[str]]:
 
     class ReadLog(NumericPolicy):
         def __getattribute__(self, name):
-            if name in ("eps_root", "fp_tol", "fp_max_iter"):
+            if name in ("fp_tol", "fp_max_iter"):
                 reads.append(name)
             return super().__getattribute__(name)
 
@@ -159,23 +160,16 @@ def _read_logged_policy() -> tuple[NumericPolicy, list[str]]:
     return policy, reads
 
 
-TWO_ATTRACTING = (39, 38, 28, 27, 26, 1)  # the oracle chooses between two attracting roots
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda policy: balanced_p3(PayoffTable3(*TWO_ATTRACTING), policy),
-        lambda policy: balanced_pn(TWO_ATTRACTING, policy=policy),
-        lambda policy: verify_table(PayoffTable3(*TWO_ATTRACTING), BalanceTarget(0.1, 0.0, 1.0, 1.0), policy),
         lambda policy: iterate2(PayoffTable2(9, 8, 5, 2), 0.5, policy),
         lambda policy: iterate3(PayoffTable3(10, 8, 7, 5, 4, 2), 0.5, policy),
         lambda policy: iterate_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2), 0.5, policy),
         lambda policy: iterate2_limits(GameTag.PRISONERS_DILEMMA, *np.array([[9.0, 8.0, 5.0, 2.0]]).T, policy=policy),
         lambda policy: iterate3_limits(*np.array([[10.0, 8.0, 7.0, 5.0, 4.0, 2.0]]).T, policy=policy),
     ],
-    ids=["balanced_p3", "balanced_pn", "verify_table", "iterate2", "iterate3", "iterate_asym",
-         "iterate2_limits", "iterate3_limits"],
+    ids=["iterate2", "iterate3", "iterate_asym", "iterate2_limits", "iterate3_limits"],
 )
 def test_a_policy_parameter_is_read(call):
     policy, reads = _read_logged_policy()
@@ -183,28 +177,18 @@ def test_a_policy_parameter_is_read(call):
     assert reads
 
 
-@pytest.mark.parametrize(
-    "call, solver",
-    [
-        (lambda policy: diner_p(DinerSpec(5.0, 3.5, 1.5, 1.0, n=3), policy), "balanced_p3"),
-        (lambda policy: diner_conjecture_test(2.5, 4, policy), "balanced_pn"),
-    ],
-    ids=["diner_p", "diner_conjecture_test"],
-)
-def test_the_diner_solvers_hand_their_policy_to_the_ladder_solver(monkeypatch, call, solver):
-    # the diner ladders have one balance root, so the oracle that would read
-    # the policy does not run; the policy still reaches the solver that runs it
-    seen = []
-    original = getattr(applications, solver)
-
-    def spy(*args):
-        seen.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(applications, solver, spy)
-    policy = NumericPolicy(eps_root=1e-3)
-    call(policy)
-    assert seen == [policy]
+def test_no_solver_reads_a_tolerance():
+    # among several attracting roots the core follows the orbit from 1/2
+    # only to a root it already found, with its own two constants
+    solvers = (balanced_p3, balanced_pn, diner_p, diner_conjecture_test, verify_table,
+               nplayer._balance_root, nplayer._ladder_root)
+    for fn in solvers:
+        assert "policy" not in inspect.signature(fn).parameters, fn.__name__
+    assert "keep" not in inspect.signature(iteration._fixed_point).parameters
+    tree = ast.parse(inspect.getsource(nplayer))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "iteration" not in imported and "NumericPolicy" not in vars(nplayer)
+    assert "weights3" not in iteration.__all__ and callable(iteration.weights3)
 
 
 def test_the_closed_forms_take_no_policy_and_no_class():
