@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import CooprobError, DomainError, InvalidTableError
 from .estimators import _balance2, _mu2, balanced_p, expected_payoff2
 from .nplayer import balanced_p3, expected_payoff3
-from .tables import GameClass, PayoffTable2, PayoffTable3, _tag2, classify2
+from .tables import GameClass, PayoffTable2, PayoffTable3, _class2, classify2
 
 __all__ = [
     "BalanceTarget",
@@ -144,7 +144,7 @@ def balance_search(
                 # skipped wherever building and verifying its table would raise:
                 # a payoff overflows, the class changes, the solver refuses
                 # the payoffs, or p leaves [0, 1]
-                if not math.isfinite(cand[i]) or _tag2(*cand) is not tag0:
+                if not math.isfinite(cand[i]) or _class2(*cand).tag is not tag0:
                     continue
                 try:
                     p = _balance2(tag0, cand)[0]

@@ -450,7 +450,6 @@ def _render(envelope: dict, fmt: str) -> str:
 
 def _add_globals(parser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"))
-    parser.add_argument("--policy-tol", help="step tolerance of estimate --method oracle")
 
 
 def build_parser() -> _Parser:
@@ -471,6 +470,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", required=True, help="a,b,c,d")
     p.add_argument("--method", choices=("balanced", "maximin", "payoff-max", "oracle"), default="balanced")
     p.add_argument("--p0", default="0.5", help="oracle starting point")
+    p.add_argument("--policy-tol", help="step tolerance of the oracle")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("estimate3", help="balanced estimate for a 3-player table", parents=[common])

@@ -78,15 +78,19 @@ class Leaning(enum.Enum):
     BALANCED = "balanced"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquiprobabilityReport:
     """Signed distance from the p = 1/2 locus, plus its verdict."""
 
     gap: float
     verdict: Leaning
 
+    def __init__(self, gap: float, verdict: Leaning) -> None:
+        v = self.__dict__
+        v["gap"], v["verdict"] = gap, verdict
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class MaximinResult:
     """Raw maximin mixing value plus its validity as a probability.
 
@@ -98,6 +102,10 @@ class MaximinResult:
     value: float | None
     estimate: Estimate | None
     degenerate: bool = False
+
+    def __init__(self, value: float | None, estimate: Estimate | None, degenerate: bool = False) -> None:
+        v = self.__dict__
+        v["value"], v["estimate"], v["degenerate"] = value, estimate, degenerate
 
     @property
     def defined(self) -> bool:

@@ -26,9 +26,9 @@ from .errors import (
 )
 from .estimators import EquiprobabilityReport, Leaning, _balance_root2
 from .tables import (
+    _PD,
     AsymmetricTable2,
     Estimate,
-    GameClass,
     GameTag,
     PayoffTable3,
     classify2,
@@ -491,5 +491,4 @@ def balanced_pn(ladder, n: int | None = None) -> Estimate:
     exactly to the n = 2 and n = 3 solvers.
     """
     p, roots = _ladder_root(_validate_ladder(ladder, n))
-    cls = GameClass(GameTag.PRISONERS_DILEMMA)
-    return Estimate(p, "balanced", cls, roots=tuple(roots))
+    return Estimate(p, "balanced", _PD, roots=tuple(roots))

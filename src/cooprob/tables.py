@@ -16,8 +16,9 @@ recorded as boundary flags (for example ``c=d``).
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import astuple, dataclass, field, fields
+from math import isfinite
 
 from .errors import DomainError, InvalidTableError
 
@@ -65,14 +66,20 @@ class GameClass:
         return bool(self.boundary_flags)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidTableError(f"payoff {name} must be finite, got {value!r}")
-    return value
+def _check_payoffs(table, values) -> None:
+    """Check the payoffs ``values`` of ``table`` in field order: each must
+    convert with float() and be finite. Raises for the first that does not.
+
+    The table classes convert and test all their payoffs at once and fall
+    back to this loop only on failure, so an error names the first bad payoff.
+    """
+    for f, value in zip(fields(table), values):
+        value = float(value)
+        if not isfinite(value):
+            raise InvalidTableError(f"payoff {f.name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PayoffTable2:
     """Symmetric two-player payoff table (a, b, c, d)."""
 
@@ -81,9 +88,18 @@ class PayoffTable2:
     c: float
     d: float
 
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        v = self.__dict__
+        try:
+            v["a"], v["b"], v["c"], v["d"] = float(a), float(b), float(c), float(d)
+        except (TypeError, ValueError, OverflowError):
+            _check_payoffs(self, (a, b, c, d))
+            raise
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c) and isfinite(self.d)):
+            _check_payoffs(self, astuple(self))
 
     def values(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -107,7 +123,7 @@ class PayoffTable2:
             raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PayoffTable3:
     """Symmetric three-player payoff table (f, g, h, j, k, m)."""
 
@@ -118,9 +134,23 @@ class PayoffTable3:
     k: float
     m: float
 
+    def __init__(self, f: float, g: float, h: float, j: float, k: float, m: float) -> None:
+        v = self.__dict__
+        try:
+            v["f"], v["g"], v["h"], v["j"], v["k"], v["m"] = (
+                float(f), float(g), float(h), float(j), float(k), float(m)
+            )
+        except (TypeError, ValueError, OverflowError):
+            _check_payoffs(self, (f, g, h, j, k, m))
+            raise
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        for name in ("f", "g", "h", "j", "k", "m"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if not (
+            isfinite(self.f) and isfinite(self.g) and isfinite(self.h)
+            and isfinite(self.j) and isfinite(self.k) and isfinite(self.m)
+        ):
+            _check_payoffs(self, astuple(self))
 
     def values(self) -> tuple[float, ...]:
         return (self.f, self.g, self.h, self.j, self.k, self.m)
@@ -136,7 +166,7 @@ class PayoffTable3:
             raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AsymmetricTable2:
     """Two-player game with a distinct table per side (x and y)."""
 
@@ -149,9 +179,25 @@ class AsymmetricTable2:
     cy: float
     dy: float
 
+    def __init__(
+        self, ax: float, bx: float, cx: float, dx: float, ay: float, by: float, cy: float, dy: float
+    ) -> None:
+        v = self.__dict__
+        try:
+            v["ax"], v["bx"], v["cx"], v["dx"], v["ay"], v["by"], v["cy"], v["dy"] = (
+                float(ax), float(bx), float(cx), float(dx), float(ay), float(by), float(cy), float(dy)
+            )
+        except (TypeError, ValueError, OverflowError):
+            _check_payoffs(self, (ax, bx, cx, dx, ay, by, cy, dy))
+            raise
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        for name in ("ax", "bx", "cx", "dx", "ay", "by", "cy", "dy"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if not (
+            isfinite(self.ax) and isfinite(self.bx) and isfinite(self.cx) and isfinite(self.dx)
+            and isfinite(self.ay) and isfinite(self.by) and isfinite(self.cy) and isfinite(self.dy)
+        ):
+            _check_payoffs(self, astuple(self))
 
     def side_x(self) -> PayoffTable2:
         return PayoffTable2(self.ax, self.bx, self.cx, self.dx)
@@ -188,7 +234,7 @@ class NumericPolicy:
     fp_max_iter: int = 10**6
 
     def __post_init__(self) -> None:
-        if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
+        if not (self.fp_tol > 0 and isfinite(self.fp_tol)):
             raise DomainError("fp_tol must be finite and positive")
         if self.fp_max_iter < 1:
             raise DomainError("fp_max_iter must be at least 1")
@@ -197,7 +243,7 @@ class NumericPolicy:
 DEFAULT_POLICY = NumericPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Estimate:
     """A cooperation-probability estimate.
 
@@ -213,9 +259,11 @@ class Estimate:
     class_used: GameClass
     roots: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"estimate p={self.p!r} outside [0, 1]")
+    def __init__(self, p: float, method: str, class_used: GameClass, roots: tuple[float, ...] = ()) -> None:
+        if not (0.0 <= p <= 1.0):
+            raise DomainError(f"estimate p={p!r} outside [0, 1]")
+        v = self.__dict__
+        v["p"], v["method"], v["class_used"], v["roots"] = p, method, class_used, roots
 
     @property
     def q(self) -> float:
@@ -226,35 +274,23 @@ def payoff_scale(values: tuple[float, ...]) -> float:
     """Largest absolute pairwise payoff difference (max minus min); DomainError
     where it overflows float64."""
     scale = max(values) - min(values)
-    if not math.isfinite(scale):
+    if not isfinite(scale):
         raise DomainError(f"payoff scale {scale!r} (max - min) overflows float64")
     return scale
 
 
-def _tag2(a: float, b: float, c: float, d: float) -> GameTag:
-    """The class tag of :func:`classify2`, from the four payoffs alone."""
-    if a > b > c >= d:
-        return GameTag.PRISONERS_DILEMMA
-    if a > b > d > c:
-        return GameTag.CHICKEN
-    if a > d > c >= b:
-        return GameTag.BATTLE_OF_SEXES
-    if b > a >= c > d:
-        return GameTag.STAG_HUNT
-    if a > c >= b > d:
-        return GameTag.TRANSLATORS
-    return GameTag.UNCLASSIFIED
-
-
-# per tag, the weak inequality of its ordering, named as the boundary flag
-# it records when it holds with equality
-_WEAK2 = {
-    GameTag.PRISONERS_DILEMMA: "c=d",
-    GameTag.BATTLE_OF_SEXES: "b=c",
-    GameTag.STAG_HUNT: "a=c",
-    GameTag.TRANSLATORS: "b=c",
-}
-_NO_FLAGS: frozenset[str] = frozenset()
+# the results of classify2: GameClass is immutable, so one instance per tag
+# and boundary flag serves every table
+_PD = GameClass(GameTag.PRISONERS_DILEMMA)
+_PD_CD = GameClass(GameTag.PRISONERS_DILEMMA, frozenset({"c=d"}))
+_CHICKEN = GameClass(GameTag.CHICKEN)
+_BOS = GameClass(GameTag.BATTLE_OF_SEXES)
+_BOS_BC = GameClass(GameTag.BATTLE_OF_SEXES, frozenset({"b=c"}))
+_STAG = GameClass(GameTag.STAG_HUNT)
+_STAG_AC = GameClass(GameTag.STAG_HUNT, frozenset({"a=c"}))
+_TRANS = GameClass(GameTag.TRANSLATORS)
+_TRANS_BC = GameClass(GameTag.TRANSLATORS, frozenset({"b=c"}))
+_UNCLASSIFIED = GameClass(GameTag.UNCLASSIFIED)
 
 
 def classify2(table: PayoffTable2) -> GameClass:
@@ -270,13 +306,27 @@ def classify2(table: PayoffTable2) -> GameClass:
     * Translators:      ``a > c >= b > d``
 
     Anything else is Unclassified. Comparisons are exact; no epsilon is
-    applied to user-supplied payoffs.
+    applied to user-supplied payoffs. Equal results are one shared instance.
     """
-    tag = _tag2(table.a, table.b, table.c, table.d)
-    flag = _WEAK2.get(tag)
-    if flag is not None and getattr(table, flag[0]) == getattr(table, flag[2]):
-        return GameClass(tag, frozenset({flag}))
-    return GameClass(tag, _NO_FLAGS)
+    return _class2(table.a, table.b, table.c, table.d)
+
+
+def _class2(a: float, b: float, c: float, d: float) -> GameClass:
+    """:func:`classify2` from the four payoffs alone."""
+    if a > b > c >= d:
+        return _PD_CD if c == d else _PD
+    if a > b > d > c:
+        return _CHICKEN
+    if a > d > c >= b:
+        return _BOS_BC if b == c else _BOS
+    if b > a >= c > d:
+        return _STAG_AC if a == c else _STAG
+    if a > c >= b > d:
+        return _TRANS_BC if b == c else _TRANS
+    return _UNCLASSIFIED
+
+
+_STEPS3 = ("f=g", "g=h", "h=j", "j=k", "k=m")
 
 
 def classify3(table: PayoffTable3) -> GameClass:
@@ -284,14 +334,21 @@ def classify3(table: PayoffTable3) -> GameClass:
 
     The dilemma chain ``f > g > h > j > k > m`` may hold with equality at
     any adjacent step; every equality hit is recorded as a boundary flag
-    (for example ``j=k``). A chain violation yields Unclassified.
+    (for example ``j=k``). A chain violation yields Unclassified. Equal
+    results are one shared instance.
     """
-    names = ("f", "g", "h", "j", "k", "m")
     vals = table.values()
-    flags = set()
-    for (n1, v1), (n2, v2) in zip(zip(names, vals), zip(names[1:], vals[1:])):
+    flags = []
+    for flag, v1, v2 in zip(_STEPS3, vals, vals[1:]):
         if v1 < v2:
-            return GameClass(GameTag.UNCLASSIFIED)
+            return _UNCLASSIFIED
         if v1 == v2:
-            flags.add(f"{n1}={n2}")
+            flags.append(flag)
+    return _dilemma3(tuple(flags))
+
+
+@functools.cache
+def _dilemma3(flags: tuple[str, ...]) -> GameClass:
+    """The PrisonersDilemma class with ``flags``, one instance per flag tuple
+    (at most 32, in chain order)."""
     return GameClass(GameTag.PRISONERS_DILEMMA, frozenset(flags))

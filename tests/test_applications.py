@@ -565,14 +565,14 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
     )
 
 
-def test_attrition_dispatch_cli_ignores_the_policy_flags(capsys):
-    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-tol
-    # 1e-3 sets the oracle's step tolerance, which the closed form does not use
+def test_attrition_dispatch_cli_is_the_per_pair_reference(capsys):
+    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-tol,
+    # the oracle's step tolerance, is not a flag of this command
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
     want = [float(f"{w:.12g}") for w in _dispatch_reference(AttritionSpec(x=8.001, max_bid=10))]
-    for extra in (["--policy-tol", "1e-3"], []):
-        assert main(args + extra) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
+    assert main(args + ["--policy-tol", "1e-3"]) == 64
 
 
 def test_attrition_escalation_limit():

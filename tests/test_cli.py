@@ -231,8 +231,11 @@ def test_global_flags_accepted_before_and_after_subcommand():
     oracle = ("estimate", "--table", "9,8,5,2", "--method", "oracle")
     tight, loose = (run_cli(*oracle, "--policy-tol", tol).stdout for tol in ("1e-12", "1e-3"))
     assert tight != loose
-    assert run_cli("--policy-tol", "1e-3", *oracle, "--policy-tol", "1e-12").stdout == tight
-    assert run_cli("--policy-tol", "1e-12", *oracle, "--policy-tol", "1e-3").stdout == loose
+    # --policy-tol is estimate's own flag: given twice the later wins, and
+    # before the subcommand name it is a usage error
+    assert run_cli(*oracle, "--policy-tol", "1e-3", "--policy-tol", "1e-12").stdout == tight
+    assert run_cli(*oracle, "--policy-tol", "1e-12", "--policy-tol", "1e-3").stdout == loose
+    assert run_cli("--policy-tol", "1e-3", *oracle).returncode == 64
 
 
 def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
@@ -251,8 +254,8 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ["--policy-tol", "1e-3", "estimate", "--table", "9,8,5,2", "--method", "oracle"],
         ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-3"],
         ["estimate", "--table", "9,8,5,2", "--method", "oracle"],
-        ["--policy-tol", "1e-12", "estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-3"],
-        ["--policy-tol", "1e-3", "estimate3", *table],
+        ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-12", "--policy-tol", "1e-3"],
+        ["estimate3", *table, "--policy-tol", "1e-3"],
         ["estimate3", *table, "--policy-eps", "1e-2"],
         ["estimate3", "--table", "15.98,15.95,15.63,15.6,15.57,14.96"],
         ["estimate3", *table],
@@ -279,8 +282,8 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
 
 
 def test_policy_flags_change_the_numeric_policy(capsys, tmp_path):
-    # --policy-tol sets the step tolerance of the oracle; no solver reads a
-    # tolerance, and --policy-eps is gone
+    # --policy-tol sets the step tolerance of the oracle and belongs to
+    # estimate alone; no solver reads a tolerance, and --policy-eps is gone
     oracle = ("estimate", "--table", "9,8,5,2", "--method", "oracle")
     loose = run_json(*oracle, "--policy-tol", "1e-3")["result"]
     tight = run_json(*oracle)["result"]
@@ -306,11 +309,18 @@ def test_policy_flags_change_the_numeric_policy(capsys, tmp_path):
         ("verify", "--file", str(tmp_path / "tables.json")),
     ]
     for command in commands:
-        outs = []
-        for extra in (["--policy-tol", "1e-3"], []):
-            assert main([*command, *extra]) == 0, command
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1], command
+        if command[0] == "estimate":
+            outs = []
+            for extra in (["--policy-tol", "1e-3"], []):
+                assert main([*command, *extra]) == 0, command
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], command
+        else:
+            assert main([*command, "--policy-tol", "1e-3"]) == 64, command
+            assert "unrecognized arguments: --policy-tol" in capsys.readouterr().err
+            assert main(list(command)) == 0, command
+            capsys.readouterr()
+    assert main(["classify", "--table", "9,8,5,2", "--policy-tol", "abc"]) == 64
 
 
 # ------------------------------------------------------------- exit codes
