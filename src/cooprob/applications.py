@@ -305,6 +305,27 @@ def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
     return hi, lo
 
 
+def _prefix_sums(p: np.ndarray) -> np.ndarray:
+    """0, p[0], p[0] + p[1], ...: the pairwise weight a level collects from
+    the gaps up to each size, summed in order."""
+    import numpy as np
+
+    cum = np.empty(len(p) + 1)
+    cum[0] = 0.0
+    np.cumsum(p, out=cum[1:])
+    return cum
+
+
+def _normalized(weights: np.ndarray, spare: np.ndarray) -> OptionDistribution:
+    """The distribution of ``weights``, with their quotients by the total
+    written into ``spare``, a buffer of the same length that is no longer
+    needed."""
+    import numpy as np
+
+    total = float(weights.sum())
+    return OptionDistribution(np.divide(weights, total, out=spare), weights, total)
+
+
 # ---------------------------------------------------------- public goods
 
 
@@ -341,10 +362,15 @@ def public_goods_distribution(spec: PublicGoodsSpec) -> OptionDistribution:
     n = spec.options
     p_star = public_goods_p_star(spec.k)
     q_star = 1.0 - p_star
-    levels = np.arange(n + 1, dtype=float)
-    weights = levels * p_star + (n - levels) * q_star
+    # levels p* + (n - levels) q*, in two buffers
+    weights = np.arange(n + 1, dtype=float)
+    weights *= p_star
+    probs = np.arange(n, -1, -1, dtype=float)
+    probs *= q_star
+    weights += probs
     total = n * (n + 1) / 2.0
-    return OptionDistribution(weights / total, weights, float(total))
+    np.divide(weights, total, out=probs)
+    return OptionDistribution(probs, weights, float(total))
 
 
 # ------------------------------------------------------------- traveler
@@ -413,14 +439,13 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     import numpy as np
 
     n = spec.steps
-    p = _traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
-    cum = np.concatenate(([0.0], np.cumsum(p)))
-    levels = np.arange(n + 1)
+    cum = _prefix_sums(_traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float)))
     # level i: p over its i lower partners (cum[i]), q over its n - i higher
     # ones (n - i - cum[n - i], and cum[n - i] is cum reversed)
-    weights = cum + ((n - levels) - cum[::-1])
-    total = float(weights.sum())
-    return OptionDistribution(weights / total, weights, total)
+    weights = np.arange(n, -1, -1, dtype=float)
+    np.subtract(weights, cum[::-1], out=weights)
+    np.add(cum, weights, out=weights)
+    return _normalized(weights, cum)
 
 
 def traveler_mean(spec: TravelerSpec) -> float:
@@ -457,7 +482,10 @@ def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.nda
     import numpy as np
 
     half = spec.x / 2.0
-    return 2.0 * deltas / (half + np.hypot(half, 2.0 * deltas))
+    twice = 2.0 * deltas
+    denominator = np.hypot(half, twice)
+    denominator += half
+    return np.divide(twice, denominator, out=twice)
 
 
 def _check_attrition_mode(mode: str) -> None:
@@ -501,10 +529,10 @@ def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDi
     else:
         x = spec.x
         p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
-    cum = np.concatenate(([0.0], np.cumsum(p)))
-    levels = np.arange(n + 1)
+    cum = _prefix_sums(p)
     # level i: q over its i lower partners (i - cum[i]), p over its n - i
     # higher ones (cum[n - i], and cum[n - i] is cum reversed)
-    weights = (levels - cum) + cum[::-1]
-    total = float(weights.sum())
-    return OptionDistribution(weights / total, weights, total)
+    weights = np.arange(n + 1, dtype=float)
+    np.subtract(weights, cum, out=weights)
+    np.add(weights, cum[::-1], out=weights)
+    return _normalized(weights, cum)

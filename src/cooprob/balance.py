@@ -180,9 +180,33 @@ class TableEntry:
     target: BalanceTarget
 
 
+_PAYOFF_KEYS = {2: ("a", "b", "c", "d"), 3: ("f", "g", "h", "j", "k", "m")}
+
+
+def _entry_numbers(pos: int, what: str, data, keys: tuple[str, ...]) -> list[float]:
+    """The values of ``keys`` in ``data``, the table or target of entry
+    ``pos``, as floats; ``InvalidTableError`` names the entry and the key
+    of the first that is missing or not a number."""
+    if not isinstance(data, dict):
+        raise InvalidTableError(f"entry {pos}: {what} must be an object, got {type(data).__name__}")
+    numbers = []
+    for key in keys:
+        if key not in data:
+            raise InvalidTableError(f"entry {pos} {what} missing {key!r}")
+        try:
+            numbers.append(float(data[key]))
+        except (TypeError, ValueError):
+            raise InvalidTableError(f"entry {pos} {what} {key!r}: {data[key]!r} is not a number") from None
+    return numbers
+
+
 def load_table_entries(source: str | Path) -> list[TableEntry]:
     """Parse a tables file: a JSON array of
     {"name", "players": 2|3, "table": {...}, "target": {p, mu, p_tol, mu_tol}}.
+
+    Every field is checked: a malformed entry raises ``InvalidTableError``
+    (or ``DomainError`` for a target out of range), naming the entry and,
+    where one is at fault, the key.
     """
     text = Path(source).read_text()
     try:
@@ -197,25 +221,17 @@ def load_table_entries(source: str | Path) -> list[TableEntry]:
             raise InvalidTableError(f"entry {pos} is not an object")
         try:
             name = str(item["name"])
-            players = int(item["players"])
+            players = item["players"]
             table_data = item["table"]
             target_data = item["target"]
         except KeyError as exc:
             raise InvalidTableError(f"entry {pos} missing key {exc.args[0]!r}") from exc
-        if players == 2:
-            table: PayoffTable2 | PayoffTable3 = PayoffTable2.from_dict(table_data)
-        elif players == 3:
-            table = PayoffTable3.from_dict(table_data)
-        else:
-            raise InvalidTableError(f"entry {pos}: players must be 2 or 3, got {players}")
-        try:
-            target = BalanceTarget(
-                p=float(target_data["p"]),
-                mu=float(target_data["mu"]),
-                p_tol=float(target_data["p_tol"]),
-                mu_tol=float(target_data["mu_tol"]),
-            )
-        except KeyError as exc:
-            raise InvalidTableError(f"entry {pos} target missing {exc.args[0]!r}") from exc
+        # 2.0 counts as 2; a string, a bool or 2.5 is no player count
+        if type(players) not in (int, float) or players not in _PAYOFF_KEYS:
+            raise InvalidTableError(f"entry {pos}: players must be 2 or 3, got {players!r}")
+        players = int(players)
+        payoffs = _entry_numbers(pos, "table", table_data, _PAYOFF_KEYS[players])
+        table = PayoffTable2(*payoffs) if players == 2 else PayoffTable3(*payoffs)
+        target = BalanceTarget(*_entry_numbers(pos, "target", target_data, ("p", "mu", "p_tol", "mu_tol")))
         entries.append(TableEntry(name=name, players=players, table=table, target=target))
     return entries

@@ -38,6 +38,7 @@ from cooprob import (
     traveler_table2,
 )
 from cooprob import applications
+from cooprob.estimators import _balanced_p_batch
 from cooprob.cli import main
 
 
@@ -60,6 +61,83 @@ def _assert_matches_loop(dist, weights, total):
 
 
 # ------------------------------------------------------------ distribution
+
+
+# The builders' array bodies before they wrote into buffers of their own,
+# kept as references: the in-place passes take the same operations in the
+# same order, so every bit of their output must be the same.
+
+
+def _ref_public_goods(spec):
+    n = spec.options
+    p_star = public_goods_p_star(spec.k)
+    q_star = 1.0 - p_star
+    levels = np.arange(n + 1, dtype=float)
+    weights = levels * p_star + (n - levels) * q_star
+    total = n * (n + 1) / 2.0
+    return weights / total, weights, float(total)
+
+
+def _ref_traveler(spec):
+    n = spec.steps
+    p = applications._traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
+    cum = np.concatenate(([0.0], np.cumsum(p)))
+    levels = np.arange(n + 1)
+    weights = cum + ((n - levels) - cum[::-1])
+    total = float(weights.sum())
+    return weights / total, weights, total
+
+
+def _ref_attrition(spec, mode):
+    n = spec.max_bid
+    deltas = np.arange(1, n + 1, dtype=float)
+    if mode == "paper":
+        half = spec.x / 2.0
+        p = 2.0 * deltas / (half + np.hypot(half, 2.0 * deltas))
+    else:
+        x = spec.x
+        p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
+    cum = np.concatenate(([0.0], np.cumsum(p)))
+    levels = np.arange(n + 1)
+    weights = (levels - cum) + cum[::-1]
+    total = float(weights.sum())
+    return weights / total, weights, total
+
+
+def _assert_same_bits(dist, reference):
+    probs, weights, total = reference
+    assert np.array_equal(dist.probabilities.view(np.uint64), probs.view(np.uint64))
+    assert np.array_equal(dist.weights.view(np.uint64), weights.view(np.uint64))
+    assert dist.total == total
+
+
+# the benchmark's spec ranges, at 10^5 options
+REFERENCE_OPTIONS = 10**5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_public_goods_builder_is_bit_identical_to_its_array_reference(seed):
+    rng = np.random.default_rng(seed)
+    spec = PublicGoodsSpec(r=float(rng.uniform(10, 1000)), k=float(rng.uniform(1.05, 1.95)), options=REFERENCE_OPTIONS)
+    _assert_same_bits(public_goods_distribution(spec), _ref_public_goods(spec))
+
+
+@pytest.mark.parametrize("bonus", [0.1, 0.4, 0.7, 1.0])  # the bonus as a share of the floor s
+def test_traveler_builder_is_bit_identical_to_its_array_reference(bonus):
+    rng = np.random.default_rng(int(bonus * 10))
+    s = float(rng.uniform(1.0, 10.0))
+    spec = TravelerSpec(r=s + float(rng.uniform(50, 500)), s=s, t=s * bonus, steps=REFERENCE_OPTIONS)
+    _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
+
+
+@pytest.mark.parametrize("mode", ["paper", "dispatch"])
+@pytest.mark.parametrize("seed", range(2))
+def test_attrition_builder_is_bit_identical_to_its_array_reference(mode, seed):
+    rng = np.random.default_rng(seed)
+    spec = AttritionSpec(x=float(rng.uniform(1.0, 100.0)), max_bid=REFERENCE_OPTIONS)
+    _assert_same_bits(attrition_distribution(spec, mode), _ref_attrition(spec, mode))
+
+
 
 
 def test_option_distribution_holds_read_only_float64_arrays():

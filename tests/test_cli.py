@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,6 +409,45 @@ def test_malformed_tables_file_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+GOOD_ENTRY = {
+    "name": "duel",
+    "players": 2,
+    "table": {"a": 8, "b": 2, "c": -2, "d": -4},
+    "target": {"p": 0.5, "mu": 1.0, "p_tol": 1e-6, "mu_tol": 1e-6},
+}
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"table": {**GOOD_ENTRY["table"], "b": "x"}}, "'b'"),  # a payoff that is no number
+        ({"table": {**GOOD_ENTRY["table"], "b": None}}, "'b'"),
+        ({"target": {**GOOD_ENTRY["target"], "mu": "high"}}, "'mu'"),
+        ({"target": {**GOOD_ENTRY["target"], "p_tol": None}}, "'p_tol'"),
+        ({"players": "two"}, "players"),
+        ({"players": 2.5}, "players"),
+        ({"players": None}, "players"),
+        ({"table": [8, 2, -2, -4]}, "table"),
+        ({"target": 0.5}, "target"),
+    ],
+)
+def test_a_bad_tables_entry_exits_2_naming_the_entry_and_key(tmp_path, capsys, change, named):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([GOOD_ENTRY, {**GOOD_ENTRY, "name": "bad", **change}]))
+    assert main(["verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entry 1") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_an_integral_float_player_count_is_accepted(tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([{**GOOD_ENTRY, "players": 2.0}]))
+    assert main(["verify", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["entries"][0]["players"] == 2
+
+
 # ---------------------------------------------------------- bulk rendering
 #
 # The renderers format array-valued results (probabilities, weights) in
@@ -513,6 +553,32 @@ def test_bulk_number_rule_on_edge_values(value):
     assert cli._float_reprs([value]) == [repr(_ref_round12(value))]
 
 
+def _ulp_neighbours(values):
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+# values whose 12-digit rounding is a tie or a hair from one, where the
+# array writer's mantissa could be off by one; the scalar rule takes them
+NEAR_TIES = _ulp_neighbours([0.1234567890125, 123456789012.5, 999999999999.5])
+# both sides of every power of ten where repr's notation or the digit count changes
+POWER_NEIGHBOURS = _ulp_neighbours([float(f"1e{k}") for k in range(-5, 17)])
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@pytest.mark.parametrize("values", [NEAR_TIES, POWER_NEIGHBOURS, SPECIAL_VALUES], ids=["ties", "powers", "special"])
+def test_bulk_number_rule_at_its_seams(values):
+    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+    assert cli._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
+
+
+def test_bulk_number_rule_on_a_log_uniform_draw():
+    rng = np.random.default_rng(20141)
+    values = np.exp(rng.uniform(math.log(1e-320), math.log(1e308), 200_000)) * rng.choice([-1.0, 1.0], 200_000)
+    values = values.tolist()
+    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+    assert cli._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), max_size=20))
 @settings(max_examples=500, deadline=None)
 def test_bulk_number_rule_matches_per_value_rounding(values):
@@ -525,6 +591,7 @@ BULK_COMMANDS = [
     "app traveler --max 100 --min 2 --bonus 2 --steps 2000 --mean",
     "app attrition --x 2 --max-bid 1000 --mode paper",
     "app attrition --x 2 --max-bid 1000 --mode dispatch",
+    "app public-goods --r 500 --k 1.5 --options 40000",  # the benchmark's size
 ]
 
 

@@ -104,10 +104,20 @@ ARRAY_CALLS = {
     "applications._attrition_paper_by_delta": "applications.AttritionSpec(2.0, 4), np.array([1.0, 3.0])",
     "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
     "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",
+    "applications._prefix_sums": "np.array([0.5, 0.25])",
+    "applications._normalized": "np.array([1.0, 3.0]), np.empty(2)",
+    "cli._packed": "['0.', '-0.000', 'e+16']",
+    "cli._writer_tables": "",
+    "cli._decimals": "np.array([0.5, -1e-7, 0.0, 999999999999.5])",
+    "cli._repr_columns": "[0.5, -1e-7, 0.0, 999999999999.5]",
+    "cli._write_reprs": "np.array([0.5]), np.empty((1, 4), '<u8')",
+    "cli._rounded_array": "[0.5, -1e-7, 0.0, 1e-30]",
+    "cli._index_rows": "12",
+    "cli._block": "2, b'x', np.array([[49, 0], [50, 51]], np.uint8), b'\\n'",
 }
 
 PRELUDE = """if True:
-    from cooprob import applications, estimators, iteration, nplayer, tables
+    from cooprob import applications, cli, estimators, iteration, nplayer, tables
     import numpy as np
 
     def plain(x):
