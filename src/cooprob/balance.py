@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import CooprobError, DomainError, InvalidTableError
@@ -180,17 +180,17 @@ class TableEntry:
     target: BalanceTarget
 
 
-_PAYOFF_KEYS = {2: ("a", "b", "c", "d"), 3: ("f", "g", "h", "j", "k", "m")}
+_TABLE_CLASSES = {2: PayoffTable2, 3: PayoffTable3}
 
 
-def _entry_numbers(pos: int, what: str, data, keys: tuple[str, ...]) -> list[float]:
-    """The values of ``keys`` in ``data``, the table or target of entry
-    ``pos``, as floats; ``InvalidTableError`` names the entry and the key
-    of the first that is missing or not a number."""
+def _entry_numbers(pos: int, what: str, data, cls) -> list[float]:
+    """The values in ``data``, the table or target of entry ``pos``, of the
+    fields of ``cls``, as floats; ``InvalidTableError`` names the entry and
+    the key of the first that is missing or not a number."""
     if not isinstance(data, dict):
         raise InvalidTableError(f"entry {pos}: {what} must be an object, got {type(data).__name__}")
     numbers = []
-    for key in keys:
+    for key in (f.name for f in fields(cls)):
         if key not in data:
             raise InvalidTableError(f"entry {pos} {what} missing {key!r}")
         try:
@@ -227,11 +227,11 @@ def load_table_entries(source: str | Path) -> list[TableEntry]:
         except KeyError as exc:
             raise InvalidTableError(f"entry {pos} missing key {exc.args[0]!r}") from exc
         # 2.0 counts as 2; a string, a bool or 2.5 is no player count
-        if type(players) not in (int, float) or players not in _PAYOFF_KEYS:
+        if type(players) not in (int, float) or players not in _TABLE_CLASSES:
             raise InvalidTableError(f"entry {pos}: players must be 2 or 3, got {players!r}")
         players = int(players)
-        payoffs = _entry_numbers(pos, "table", table_data, _PAYOFF_KEYS[players])
-        table = PayoffTable2(*payoffs) if players == 2 else PayoffTable3(*payoffs)
-        target = BalanceTarget(*_entry_numbers(pos, "target", target_data, ("p", "mu", "p_tol", "mu_tol")))
+        table_cls = _TABLE_CLASSES[players]
+        table = table_cls(*_entry_numbers(pos, "table", table_data, table_cls))
+        target = BalanceTarget(*_entry_numbers(pos, "target", target_data, BalanceTarget))
         entries.append(TableEntry(name=name, players=players, table=table, target=target))
     return entries
