@@ -557,8 +557,8 @@ def _ulp_neighbours(values):
     return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
 
 
-# values whose 12-digit rounding is a tie or a hair from one, where the
-# array writer's mantissa could be off by one; the scalar rule takes them
+# values whose 12-digit rounding is a tie or a hair from one, where numpy's
+# mantissa could be off by one; Python's formatting takes them
 NEAR_TIES = _ulp_neighbours([0.1234567890125, 123456789012.5, 999999999999.5])
 # both sides of every power of ten where repr's notation or the digit count changes
 POWER_NEIGHBOURS = _ulp_neighbours([float(f"1e{k}") for k in range(-5, 17)])
