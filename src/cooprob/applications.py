@@ -394,7 +394,8 @@ def traveler_table2(spec: TravelerSpec, i: int, j: int) -> PayoffTable2:
 
 
 def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
-    """Pairwise cooperation probability as a function of the level gap.
+    """Pairwise cooperation probability as a function of the level gap, for
+    ascending ``deltas``.
 
     Below the bonus/step boundary (g = delta v < t) the pair is a dilemma and
     the positive quadratic branch p = 2 g / (g + t + sqrt((t - g)(t + 3 g)))
@@ -413,17 +414,29 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
         raise DomainError(f"payoff scale of {spec!r} overflows float64")
     gap = deltas * spec.v
     t = spec.t
-    p = np.ones_like(gap)
-    pd = gap < t
-    if np.any(pd):
-        g = gap[pd]
-        if math.isfinite(2.0 * t * spec.steps):
-            # zero where the exact gap reaches t, which the rounded one missed
-            tg = np.maximum((t * spec.steps - deltas[pd] * (spec.r - spec.s)) / spec.steps, 0.0)
-        else:
-            tg = t - g
-        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(tg) * np.sqrt(0.25 * t + 0.75 * g))
-    return p
+    # the dilemma gaps, below t, are a prefix: the deltas ascend
+    k = int(np.searchsorted(gap, t))
+    g = gap[:k]
+    if math.isfinite(2.0 * t * spec.steps):
+        # zero where the exact gap reaches t, which the rounded one missed
+        tg = deltas[:k] * (spec.r - spec.s)
+        np.subtract(t * spec.steps, tg, out=tg)
+        tg /= spec.steps
+        np.maximum(tg, 0.0, out=tg)
+    else:
+        tg = t - g
+    np.sqrt(tg, out=tg)
+    # g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), written over the gaps
+    denominator = 0.75 * g
+    denominator += 0.25 * t
+    np.sqrt(denominator, out=denominator)
+    tg *= denominator
+    np.multiply(g, 0.5, out=denominator)
+    denominator += 0.5 * t
+    denominator += tg
+    np.divide(g, denominator, out=g)
+    gap[k:] = 1.0
+    return gap
 
 
 def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:

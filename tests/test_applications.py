@@ -78,9 +78,24 @@ def _ref_public_goods(spec):
     return weights / total, weights, float(total)
 
 
+def _ref_traveler_p(spec, deltas):
+    gap = deltas * spec.v
+    t = spec.t
+    p = np.ones_like(gap)
+    pd = gap < t
+    if np.any(pd):
+        g = gap[pd]
+        if math.isfinite(2.0 * t * spec.steps):
+            tg = np.maximum((t * spec.steps - deltas[pd] * (spec.r - spec.s)) / spec.steps, 0.0)
+        else:
+            tg = t - g
+        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(tg) * np.sqrt(0.25 * t + 0.75 * g))
+    return p
+
+
 def _ref_traveler(spec):
     n = spec.steps
-    p = applications._traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float))
+    p = _ref_traveler_p(spec, np.arange(1, n + 1, dtype=float))
     cum = np.concatenate(([0.0], np.cumsum(p)))
     levels = np.arange(n + 1)
     weights = cum + ((n - levels) - cum[::-1])
@@ -127,6 +142,21 @@ def test_traveler_builder_is_bit_identical_to_its_array_reference(bonus):
     rng = np.random.default_rng(int(bonus * 10))
     s = float(rng.uniform(1.0, 10.0))
     spec = TravelerSpec(r=s + float(rng.uniform(50, 500)), s=s, t=s * bonus, steps=REFERENCE_OPTIONS)
+    _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TravelerSpec(r=1.5e303, s=1e303, t=1e303, steps=REFERENCE_OPTIONS),  # t steps overflows: t - g
+        TravelerSpec(r=1000.0, s=1.0, t=0.001, steps=REFERENCE_OPTIONS),  # no gap below the bonus
+        TravelerSpec(r=10.0, s=5.0, t=5.0, steps=REFERENCE_OPTIONS),  # the widest gap is the bonus
+    ],
+)
+def test_traveler_builder_is_bit_identical_to_its_array_reference_at_the_branch_ends(spec):
+    deltas = np.arange(1, spec.steps + 1, dtype=float)
+    got = applications._traveler_p_by_delta(spec, deltas)
+    assert np.array_equal(got.view(np.uint64), _ref_traveler_p(spec, deltas).view(np.uint64))
     _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
 
 
