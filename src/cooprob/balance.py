@@ -3,7 +3,6 @@ them toward a target (p, mu) by greedy coordinate search."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -137,27 +136,35 @@ def balance_search(
     while iterations < max_iters and not passed:
         iterations += 1
         best_neighbor = None
-        for i in range(4):
-            for sign in (1.0, -1.0):
-                cand = list(values)
-                cand[i] += sign * step
-                # skipped wherever building and verifying its table would raise:
-                # a payoff overflows, the class changes, the solver refuses
-                # the payoffs, or p leaves [0, 1]
-                if not math.isfinite(cand[i]) or _class2(*cand).tag is not tag0:
-                    continue
-                try:
-                    p = _balance2(tag0, cand)[0]
-                except CooprobError:
-                    continue
-                if not 0.0 <= p <= 1.0:
-                    continue
-                dp = p - target.p
-                dmu = _mu2(p, *cand) - target.mu
-                obj = _objective(dp, dmu, target)
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best_neighbor = (cand, dp, dmu)
+        a, b, c, d = values
+        neighbours = (
+            (a + step, b, c, d),
+            (a - step, b, c, d),
+            (a, b + step, c, d),
+            (a, b - step, c, d),
+            (a, b, c + step, d),
+            (a, b, c - step, d),
+            (a, b, c, d + step),
+            (a, b, c, d - step),
+        )
+        for i, cand in enumerate(neighbours):
+            # skipped wherever building and verifying its table would raise:
+            # the moved payoff overflows, the class changes, the solver
+            # refuses the payoffs, or p leaves [0, 1]
+            if not math.isfinite(cand[i // 2]) or _class2(*cand).tag is not tag0:
+                continue
+            try:
+                p = _balance2(tag0, cand)[0]
+            except CooprobError:
+                continue
+            if not 0.0 <= p <= 1.0:
+                continue
+            dp = p - target.p
+            dmu = _mu2(p, *cand) - target.mu
+            obj = _objective(dp, dmu, target)
+            if obj < best_obj - 1e-15:
+                best_obj = obj
+                best_neighbor = (cand, dp, dmu)
         if best_neighbor is None:
             stalled = True
             break
@@ -208,6 +215,8 @@ def load_table_entries(source: str | Path) -> list[TableEntry]:
     (or ``DomainError`` for a target out of range), naming the entry and,
     where one is at fault, the key.
     """
+    import json  # here, not at module level: importing cooprob loads no json
+
     text = Path(source).read_text()
     try:
         data = json.loads(text)

@@ -136,7 +136,9 @@ def weights2(tag: GameTag, a, b, c, d, p):
 
     Accepts scalars or numpy arrays; every addend is nonnegative for a table
     that actually satisfies the class ordering, so phi/(phi+chi) maps [0, 1]
-    into itself.
+    into itself. This is the general-p form that :func:`phi_chi` and the
+    iteration oracles use; the closed forms read the weights at p = 0 and 1
+    from ``_END_WEIGHTS``, which a test holds equal to this function there.
     """
     q = 1.0 - p
     if tag is GameTag.PRISONERS_DILEMMA:
@@ -323,6 +325,21 @@ def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
 # above it balanced_p scales the payoffs by 1/8, which is exact there.
 _WIDE_SCALE = 2.0**1020
 
+# The end weights of each class: (scale, s0, s1, w0, w1) from the payoffs
+# (a, b, c, d), where scale is the payoff scale max - min, which the class
+# ordering fixes, and (s0, w0), (s1, w1) are weights2 at p = 0 and p = 1,
+# formed with its operations less the terms it multiplies by 0.0. Under the
+# ordering those terms are finite gaps >= 0, so only a weight of -0.0 can
+# differ from weights2's, which gives +0.0 there; tests/test_balance_rule2.py
+# holds the two equal and balanced_p bit for bit the rule on weights2.
+_END_WEIGHTS = {
+    GameTag.PRISONERS_DILEMMA: lambda a, b, c, d: (a - d, b - c, b - c, c - d, a - b),
+    GameTag.CHICKEN: lambda a, b, c, d: (a - c, (b - c) + (d - c), b - c, 0.0, a - b),
+    GameTag.BATTLE_OF_SEXES: lambda a, b, c, d: (a - b, d - c, 0.0, c - b, (c - b) + (a - b)),
+    GameTag.STAG_HUNT: lambda a, b, c, d: (b - d, b - c, (b - c) + (b - a), c - d, 0.0),
+    GameTag.TRANSLATORS: lambda a, b, c, d: (a - d, 0.0, 0.0, (c - b) + (c - d), (c - b) + (a - b)),
+}
+
 
 def _balance2(tag: GameTag, values):
     """(p, s0, s1, w0, w1): the balanced p of the payoffs ``values`` under
@@ -330,17 +347,19 @@ def _balance2(tag: GameTag, values):
     1/8 on a wide payoff scale.
 
     The whole rule of :func:`balanced_p` except the class and the reported
-    roots; ``balance_search`` scores its neighbours with it. Raises as
-    :func:`balanced_p` does: DomainError for an infinite payoff scale,
-    UnsupportedClassError for Unclassified, AmbiguousRootError.
+    roots; ``balance_search`` scores its neighbours with it. The weights
+    come from the class's entry in ``_END_WEIGHTS``. Raises as
+    :func:`balanced_p` does: DomainError for an infinite payoff scale, then
+    UnsupportedClassError for Unclassified, then AmbiguousRootError.
     """
-    scale = payoff_scale(values)
-    if tag is GameTag.UNCLASSIFIED:
+    ends = _END_WEIGHTS.get(tag)
+    if ends is None:
+        payoff_scale(values)  # an overflowing scale is refused before the class
         raise UnsupportedClassError("balanced_p requires a classified table")
+    scale, s0, s1, w0, w1 = ends(*values)
     if scale > _WIDE_SCALE:
-        values = tuple(v * 0.125 for v in values)
-    s0, w0 = weights2(tag, *values, 0.0)
-    s1, w1 = weights2(tag, *values, 1.0)
+        payoff_scale(values)  # raises where the scale is infinite
+        _, s0, s1, w0, w1 = ends(*(v * 0.125 for v in values))
     return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1
 
 
@@ -348,7 +367,8 @@ def balanced_p(table: PayoffTable2) -> Estimate:
     """Balanced-player cooperation probability for a classified table.
 
     Every class goes through one rule: its weights :func:`weights2` are
-    affine in p, so they are fixed by their values at p = 0 and p = 1, and
+    affine in p, so they are fixed by their values at p = 0 and p = 1, which
+    ``_END_WEIGHTS`` forms straight from the payoffs, and
     :func:`_balance_root2` returns the balance root that the core's root rule
     picks. For the dilemma that is the positive branch of the balance
     quadratic; Stag Hunt gets p = 1 when (b-c)/(a-d) >= 1/2 and the interior
@@ -392,9 +412,11 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
     """``balanced_p(PayoffTable2(a[i], b[i], c[i], d[i])).p`` for
     every row i, bit for bit, computed with numpy.
 
-    The payoffs broadcast to one 1-D float64 array. When some row would make
-    the scalar path raise, the first such row goes through :func:`balanced_p`
-    and its error is raised with the row index in front of the message.
+    The payoffs broadcast to one 1-D float64 array, and each class's rows
+    take their end weights from ``_END_WEIGHTS`` as the scalar path does.
+    When some row would make the scalar path raise, the first such row goes
+    through :func:`balanced_p` and its error is raised with the row index in
+    front of the message.
     """
     import numpy as np
 
@@ -417,9 +439,7 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
         ):
             rows = np.flatnonzero(order)
             if rows.size:
-                cols = weighed[:, rows]
-                s0, w0 = weights2(tag, *cols, 0.0)
-                s1, w1 = weights2(tag, *cols, 1.0)
+                _, s0, s1, w0, w1 = _END_WEIGHTS[tag](*weighed[:, rows])
                 p[rows], fails[rows] = _balance_root2_batch(s0, s1, w0, w1)
     # PayoffTable2 refuses non-finite payoffs, payoff_scale an infinite payoff
     # scale and Estimate a p outside [0, 1]

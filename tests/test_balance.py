@@ -157,24 +157,42 @@ def reference_search(table, target, step=0.5, max_iters=200, integer_mode=False)
 
 
 def _search_jobs(seed, count):
-    """Seeded (start, target, step, max_iters, integer_mode) jobs over the
-    five classes, half of them with 0..9 integer starts, which hit the
-    boundary flags; targets lie near the start's own (p, mu)."""
+    """Seeded (start, target, step, max_iters, integer_mode) jobs, ``count``
+    of each of two kinds. The first spans the five classes, half of them
+    with 0..9 integer starts, which hit the boundary flags; targets lie near
+    the start's own (p, mu). The second is shaped like the benchmark's
+    ``solvers`` searches: the four classes other than Translators, half of
+    them integer, p within 0.15 and mu within 1 of the start's, tolerances
+    0.02 and 0.25, a step of 0.1 to 0.5 and 100 iterations; a few integer
+    starts carry -0.0 for a zero payoff."""
     rng = np.random.default_rng(seed)
-    tags = list(CLASS_PATTERNS)
     jobs = []
-    while len(jobs) < count:
+    while len(jobs) < 2 * count:
+        solvers = len(jobs) >= count
+        tags = [t for t in CLASS_PATTERNS if not (solvers and t is GameTag.TRANSLATORS)]
         tag = tags[len(jobs) % len(tags)]
         integer = bool(rng.integers(0, 2))
         if integer:
             vals = np.sort(rng.integers(0, 10, 4))[::-1].astype(float)
         else:
             vals = np.sort(rng.uniform(-50.0, 50.0, 4))[::-1]
-        start = PayoffTable2(*vals[list(CLASS_PATTERNS[tag])].tolist())
+        vals = vals[list(CLASS_PATTERNS[tag])].tolist()
+        if solvers and integer and len(jobs) % 3 == 0:
+            vals = [-0.0 if v == 0.0 else v for v in vals]
+        start = PayoffTable2(*vals)
         if classify2(start).tag is not tag:
             continue
         p0 = balanced_p(start).p
         mu0 = expected_payoff2(start, p0)
+        if solvers:
+            target = BalanceTarget(
+                float(np.clip(p0 + rng.uniform(-0.15, 0.15), 0.01, 0.99)),
+                float(mu0 + rng.uniform(-1.0, 1.0)),
+                0.02,
+                0.25,
+            )
+            jobs.append((start, target, float(rng.uniform(0.1, 0.5)), 100, False))
+            continue
         target = BalanceTarget(
             float(np.clip(p0 + rng.uniform(-0.2, 0.2), 0.0, 1.0)),
             float(mu0 + rng.uniform(-2.0, 2.0)),
@@ -194,7 +212,9 @@ def _assert_same_search(*args, **kwargs):
 
 
 def test_balance_search_is_the_per_neighbour_loop():
-    results = [_assert_same_search(*job) for job in _search_jobs(5, 150)]
+    jobs = _search_jobs(5, 150)
+    results = [_assert_same_search(*job) for job in jobs]
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for job in jobs for v in job[0].values())
     assert {r.report.game_class.tag for r in results} == set(CLASS_PATTERNS)
     assert any(r.report.game_class.is_boundary for r in results)
     assert any(r.met_target for r in results)

@@ -15,8 +15,8 @@ from cooprob import (
     balanced_pn,
     classify2,
 )
-from cooprob import estimators, nplayer
-from cooprob.errors import AmbiguousRootError, NoValidRootError
+from cooprob import Estimate, estimators, nplayer, payoff_scale
+from cooprob.errors import AmbiguousRootError, CooprobError, DomainError, NoValidRootError, UnsupportedClassError
 from cooprob.estimators import _balance_root2, _balanced_p_batch, _stable_quadratic_roots, weights2
 from conftest import sample_class_boundary_tables, sample_near_linear_tables
 
@@ -149,6 +149,79 @@ def test_a_double_root_at_one_is_reported_not_refused():
     est = balanced_p(table)
     assert est.p == pytest.approx(1.0, abs=1e-7)
     assert est.roots == pytest.approx((1.0, 1.0), abs=1e-7)
+
+
+# ------------------------------------------------- the end-weight table
+
+
+def reference_balance2(tag, values):
+    """``estimators._balance2`` with its weights from the payoff scale and
+    ``weights2`` at p = 0 and p = 1, as it ran before the end-weight table."""
+    scale = payoff_scale(values)
+    if tag is GameTag.UNCLASSIFIED:
+        raise UnsupportedClassError("balanced_p requires a classified table")
+    if scale > estimators._WIDE_SCALE:
+        values = tuple(v * 0.125 for v in values)
+    s0, w0 = weights2(tag, *values, 0.0)
+    s1, w1 = weights2(tag, *values, 1.0)
+    return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1
+
+
+def reference_balanced_p(table):
+    """``balanced_p`` on :func:`reference_balance2`."""
+    cls = classify2(table)
+    p, s0, s1, w0, w1 = reference_balance2(cls.tag, table.values())
+    k = (w1 - w0) + (s1 - s0)
+    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0) if k else (p,)
+    return Estimate(p, "balanced", cls, roots=roots)
+
+
+def _end_weight_rows():
+    """Integers that hit every boundary tie, also with zeros made -0.0,
+    uniform and log-uniform payoffs, and payoffs near 1.7e308, whose scale
+    passes 2**1020 or float64."""
+    rng = np.random.default_rng(23)
+    n = 4000
+    ints = np.concatenate((rng.integers(0, 10, (n, 4)), rng.integers(-3, 4, (n, 4)))).astype(float)
+    signed_zeros = np.where((ints == 0.0) & (rng.random(ints.shape) < 0.5), -0.0, ints)
+    signs = rng.choice([-1.0, 1.0], (2, n, 4))
+    log_uniform = 10.0 ** rng.uniform(-300.0, 300.0, (n, 4)) * signs[0]
+    huge = rng.uniform(1.0, 1.7, (n, 4)) * 1e308 * signs[1]
+    return np.concatenate((ints, signed_zeros, rng.uniform(-50.0, 50.0, (n, 4)), log_uniform, huge)).tolist()
+
+
+def test_the_end_weight_table_is_weights2_at_the_ends():
+    signed = 0
+    for row in _classified(_end_weight_rows()):
+        tag = classify2(PayoffTable2(*row)).tag
+        scale, *ends = estimators._END_WEIGHTS[tag](*row)
+        assert scale == max(row) - min(row), row
+        if not math.isfinite(scale):
+            continue  # refused
+        if scale > estimators._WIDE_SCALE:  # the weights are formed from the payoffs / 8
+            row = [v * 0.125 for v in row]
+            ends = estimators._END_WEIGHTS[tag](*row)[1:]
+        (s0, w0), (s1, w1) = weights2(tag, *row, 0.0), weights2(tag, *row, 1.0)
+        assert tuple(ends) == (s0, s1, w0, w1), row  # == counts -0.0 as 0.0
+        signed += any(math.copysign(1.0, x) != math.copysign(1.0, y) for x, y in zip(ends, (s0, s1, w0, w1)))
+    assert signed  # weights2 adds 0.0 to a gap of -0.0
+
+
+def _outcome(solve, row):
+    try:
+        est = solve(PayoffTable2(*row))
+    except CooprobError as exc:
+        return type(exc), str(exc)
+    return repr((est.p, est.roots))  # repr tells -0.0 from 0.0
+
+
+def test_balanced_p_on_the_end_weight_table_is_the_weights2_rule():
+    outcomes = [(_outcome(balanced_p, row), _outcome(reference_balanced_p, row), row) for row in _end_weight_rows()]
+    for got, want, row in outcomes:
+        assert got == want, row
+    # answered rows, Unclassified rows and rows whose payoff scale overflows
+    kinds = {got[0] if isinstance(got, tuple) else str for got, _, _ in outcomes}
+    assert {str, UnsupportedClassError, DomainError} <= kinds
 
 
 # --------------------------------------------- 40-digit mpmath references

@@ -155,6 +155,7 @@ def test_balanced_p_batch_is_bitwise_the_scalar_path():
         ((math.inf, 8.0, 5.0, 2.0), InvalidTableError),  # classifies as a dilemma
         ((1e308, 0.0, -1e308, -1.0), DomainError),  # the payoff scale overflows
         ((1e308, 5e307, -5e307, -1e308), DomainError),  # the same, though k = 0 gives p = 2/3
+        ((0.0, 1e308, -1e308, 5.0), DomainError),  # the same, refused before its class
     ],
 )
 def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refused, error):
@@ -170,6 +171,7 @@ def test_balanced_p_batch_raises_the_scalar_error_of_the_first_refused_row(refus
     [
         ((1e308, 0.0, -1e308, -1.0), "payoff scale"),
         ((1e308, 5e307, -5e307, -1e308), "payoff scale"),
+        ((0.0, 1e308, -1e308, 5.0), "payoff scale"),  # Unclassified too: the scale is refused first
     ],
 )
 def test_balanced_p_names_the_float64_overflow(values, what):

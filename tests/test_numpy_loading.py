@@ -20,14 +20,14 @@ def fresh_python(*args, cwd=None):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
 
 
-def numpy_imports(importtime_stderr: str) -> list[str]:
-    """The numpy modules named in ``python -X importtime`` output."""
+def imported(importtime_stderr: str, *packages: str) -> list[str]:
+    """The modules of ``packages`` named in ``python -X importtime`` output."""
     return [
         name
         for line in importtime_stderr.splitlines()
         if line.startswith("import time:")
         for name in [line.rsplit("|", 1)[-1].strip()]
-        if name.split(".")[0] == "numpy"
+        if name.split(".")[0] in packages
     ]
 
 
@@ -78,7 +78,15 @@ def test_only_the_array_subcommands_load_numpy(argv, loads_numpy, tmp_path):
     proc = fresh_python("-X", "importtime", "-m", "cooprob", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == " ".join(argv[:2] if argv[0] == "app" else argv[:1])
-    assert bool(numpy_imports(proc.stderr)) is loads_numpy
+    assert bool(imported(proc.stderr, "numpy")) is loads_numpy
+
+
+def test_importing_the_package_loads_neither_numpy_nor_json():
+    # json is imported by the tables-file reader and the CLI, which need it
+    proc = fresh_python("-X", "importtime", "-c", "import cooprob")
+    assert proc.returncode == 0, proc.stderr
+    assert "cooprob.balance" in imported(proc.stderr, "cooprob")
+    assert imported(proc.stderr, "numpy", "json") == []
 
 
 # every function of the package that uses numpy, called with its arguments
