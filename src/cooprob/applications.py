@@ -162,8 +162,9 @@ class OptionDistribution:
     ``weights`` holds the unnormalized per-option sums U_i; ``total`` their
     sum W; ``probabilities`` is weights / total. Both are read-only 1-D
     float64 arrays, copied from whatever sequence or array is passed in, so
-    the caller's array stays writable and unshared. Instances compare by
-    identity: ``==`` over arrays has no single truth value.
+    the caller's array stays writable and unshared; the builders below hand
+    over the buffers they own instead. Instances compare by identity: ``==``
+    over arrays has no single truth value.
     """
 
     probabilities: np.ndarray
@@ -171,8 +172,21 @@ class OptionDistribution:
     total: float
 
     def __post_init__(self) -> None:
-        probs = _read_only_copy(self.probabilities)
-        weights = _read_only_copy(self.weights)
+        self._take(_read_only_copy(self.probabilities), _read_only_copy(self.weights))
+
+    @classmethod
+    def _owning(cls, probs: np.ndarray, weights: np.ndarray, total: float) -> OptionDistribution:
+        """The distribution of two float64 arrays that the caller built and
+        hands over: they are marked read-only and checked, not copied."""
+        probs.flags.writeable = False
+        weights.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "total", total)
+        dist._take(probs, weights)
+        return dist
+
+    def _take(self, probs: np.ndarray, weights: np.ndarray) -> None:
+        """Hold the two read-only arrays and check them."""
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "weights", weights)
         if probs.ndim != 1 or probs.shape != weights.shape:
@@ -323,7 +337,7 @@ def _normalized(weights: np.ndarray, spare: np.ndarray) -> OptionDistribution:
     import numpy as np
 
     total = float(weights.sum())
-    return OptionDistribution(np.divide(weights, total, out=spare), weights, total)
+    return OptionDistribution._owning(np.divide(weights, total, out=spare), weights, total)
 
 
 # ---------------------------------------------------------- public goods
@@ -370,7 +384,7 @@ def public_goods_distribution(spec: PublicGoodsSpec) -> OptionDistribution:
     weights += probs
     total = n * (n + 1) / 2.0
     np.divide(weights, total, out=probs)
-    return OptionDistribution(probs, weights, float(total))
+    return OptionDistribution._owning(probs, weights, float(total))
 
 
 # ------------------------------------------------------------- traveler

@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-from . import applications as apps
-from . import balance as bal
 from .errors import (
     AmbiguousRootError,
     DegenerateWeightsError,
@@ -26,18 +24,6 @@ from .errors import (
     NoValidRootError,
     UndefinedPairError,
     UnsupportedClassError,
-)
-from .estimators import balanced_p, equiprobability, maximin_alt_p, maximin_p, payoff_max_p
-from .iteration import iterate2
-from .nplayer import balanced_p_asym, balanced_p3, cubic_coefficients, equiprobability3
-from .tables import (
-    AsymmetricTable2,
-    Estimate,
-    NumericPolicy,
-    PayoffTable2,
-    PayoffTable3,
-    classify2,
-    classify3,
 )
 
 EXIT_OK = 0
@@ -363,7 +349,7 @@ def _class_payload(game_class) -> dict:
     }
 
 
-def _estimate_payload(est: Estimate) -> dict:
+def _estimate_payload(est) -> dict:
     payload = {"p": est.p, "q": est.q, "method": est.method}
     payload.update(_class_payload(est.class_used))
     payload["roots"] = list(est.roots)
@@ -386,6 +372,8 @@ def _boundary_warnings(game_class) -> list[str]:
 
 
 def _cmd_classify(args) -> tuple[dict, dict, list[str]]:
+    from .tables import PayoffTable2, classify2
+
     values = _parse_table_values(args.table, 4, "--table")
     table = PayoffTable2(*values)
     cls = classify2(table)
@@ -394,6 +382,9 @@ def _cmd_classify(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
+    from .estimators import balanced_p, maximin_alt_p, maximin_p, payoff_max_p
+    from .tables import NumericPolicy, PayoffTable2, classify2
+
     values = _parse_table_values(args.table, 4, "--table")
     table = PayoffTable2(*values)
     method = args.method
@@ -423,6 +414,8 @@ def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
         est = payoff_max_p(table)
         return inputs, _estimate_payload(est), warnings
     if method == "oracle":
+        from .iteration import iterate2
+
         p0 = _parse_number(args.p0, "--p0")
         inputs["p0"] = p0
         cls = classify2(table)
@@ -443,6 +436,9 @@ def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_estimate3(args) -> tuple[dict, dict, list[str]]:
+    from .nplayer import balanced_p3, cubic_coefficients
+    from .tables import PayoffTable3
+
     values = _parse_table_values(args.table, 6, "--table")
     table = PayoffTable3(*values)
     est = balanced_p3(table)
@@ -454,6 +450,9 @@ def _cmd_estimate3(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_asym(args) -> tuple[dict, dict, list[str]]:
+    from .nplayer import balanced_p_asym
+    from .tables import AsymmetricTable2
+
     values = _parse_table_values(args.table, 8, "--table")
     table = AsymmetricTable2(*values)
     est_x, est_y = balanced_p_asym(table)
@@ -469,10 +468,16 @@ def _cmd_equiprob(args) -> tuple[dict, dict, list[str]]:
     if players is None:
         players = 2 if len(parts) == 4 else 3 if len(parts) == 6 else 0
     if players == 2:
+        from .estimators import equiprobability
+        from .tables import PayoffTable2
+
         table2 = PayoffTable2(*_parse_table_values(args.table, 4, "--table"))
         report = equiprobability(table2)
         inputs = {"table": table2.to_dict(), "players": 2}
     elif players == 3:
+        from .nplayer import equiprobability3
+        from .tables import PayoffTable3
+
         table3 = PayoffTable3(*_parse_table_values(args.table, 6, "--table"))
         report = equiprobability3(table3)
         inputs = {"table": table3.to_dict(), "players": 3}
@@ -483,6 +488,8 @@ def _cmd_equiprob(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_app_diner(args) -> tuple[dict, dict, list[str]]:
+    from . import applications as apps
+
     r = _parse_number(args.r, "--r")
     s = _parse_number(args.s, "--s")
     u = _parse_number(args.u, "--u")
@@ -511,6 +518,8 @@ def _cmd_app_diner(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_app_public_goods(args) -> tuple[dict, dict, list[str]]:
+    from . import applications as apps
+
     r = _parse_number(args.r, "--r")
     k = _parse_number(args.k, "--k")
     options = _parse_int(args.options, "--options")
@@ -526,6 +535,8 @@ def _cmd_app_public_goods(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_app_traveler(args) -> tuple[dict, dict, list[str]]:
+    from . import applications as apps
+
     r = _parse_number(getattr(args, "max"), "--max")
     s = _parse_number(getattr(args, "min"), "--min")
     t = _parse_number(args.bonus, "--bonus")
@@ -544,6 +555,8 @@ def _cmd_app_traveler(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_app_attrition(args) -> tuple[dict, dict, list[str]]:
+    from . import applications as apps
+
     x = _parse_number(args.x, "--x")
     max_bid = _parse_int(args.max_bid, "--max-bid")
     spec = apps.AttritionSpec(x=x, max_bid=max_bid)
@@ -559,6 +572,8 @@ def _cmd_app_attrition(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, list[str]]:
+    from . import balance as bal
+
     entries = bal.load_table_entries(args.file)
     inputs = {"file": args.file}
     rows = []

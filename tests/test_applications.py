@@ -194,6 +194,34 @@ def test_option_distribution_copies_the_callers_arrays():
     assert dist.probabilities[0] == 0.5
 
 
+def test_the_builders_hand_over_their_buffers_without_a_copy(monkeypatch):
+    def no_copy(values):
+        raise AssertionError("a builder copied its own buffer")
+
+    monkeypatch.setattr(applications, "_read_only_copy", no_copy)
+    for dist in (
+        public_goods_distribution(PublicGoodsSpec(r=100, k=1.5, options=4)),
+        traveler_distribution(TravelerSpec(r=100, s=2, t=2, steps=98)),
+        *[attrition_distribution(AttritionSpec(x=2.0, max_bid=4), mode) for mode in ("paper", "dispatch")],
+    ):
+        assert not (dist.probabilities.flags.writeable or dist.weights.flags.writeable)
+        assert dist.probabilities.dtype == dist.weights.dtype == np.float64
+        assert math.isclose(dist.probabilities.sum(), 1.0) and dist.total > 0.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: applications._normalized(np.array([1.0, -2.0, 2.0]), np.empty(3)), "negative probability"),
+        (lambda: OptionDistribution._owning(np.array([0.5, 0.6]), np.ones(2), 2.0), "sums to"),
+        (lambda: OptionDistribution._owning(np.array([0.5, 0.5]), np.ones(3), 2.0), "1-D arrays of one length"),
+    ],
+)
+def test_a_handed_over_buffer_gets_every_check(build, message):
+    with pytest.raises(InternalError, match=message):
+        build()
+
+
 @pytest.mark.parametrize(
     "probs, weights, total",
     [

@@ -1,8 +1,11 @@
-"""Which entry points load numpy: the array functions import it themselves,
-so the scalar subcommands never load it. Every check runs in a fresh
-interpreter, since the test process has loaded numpy long before."""
+"""What each entry point loads: the array functions import numpy themselves,
+so the scalar subcommands never load it, and the package loads a submodule
+only when one of its names is first used, so each subcommand loads the
+modules it runs and no others. Every check runs in a fresh interpreter,
+since the test process has loaded numpy and every submodule long before."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -46,47 +49,117 @@ TABLES_JSON = [
     },
 ]
 
+# the cooprob modules a subcommand loads besides cooprob, cooprob.cli and
+# cooprob.errors
+TWO_PLAYER = ("tables", "estimators")
+N_PLAYER = (*TWO_PLAYER, "nplayer")
+
 SCALAR_COMMANDS = [
-    ("classify", "--table", "9,8,5,2"),
-    *[("estimate", "--table", "9,8,5,2", "--method", m) for m in ("balanced", "maximin", "payoff-max", "oracle")],
-    ("estimate3", "--table", "10,8,7,5,4,2"),
-    ("estimate3", "--table", "39,38,28,27,26,1"),  # two attracting roots: the oracle runs
-    ("asym", "--table", "10,7,5,1,9,8,5,2"),
-    ("equiprob", "--table", "9,8,5,2"),
-    ("equiprob", "--table", "10,8,7,5,4,2"),
+    (("classify", "--table", "9,8,5,2"), ("tables",)),
+    *[(("estimate", "--table", "9,8,5,2", "--method", m), TWO_PLAYER) for m in ("balanced", "maximin", "payoff-max")],
+    (("estimate", "--table", "9,8,5,2", "--method", "oracle"), (*TWO_PLAYER, "iteration")),
+    (("estimate3", "--table", "10,8,7,5,4,2"), N_PLAYER),
+    (("estimate3", "--table", "39,38,28,27,26,1"), N_PLAYER),  # two attracting roots: the oracle runs
+    (("asym", "--table", "10,7,5,1,9,8,5,2"), N_PLAYER),
+    (("equiprob", "--table", "9,8,5,2"), TWO_PLAYER),
+    (("equiprob", "--table", "10,8,7,5,4,2"), N_PLAYER),
     *[
-        ("app", "diner", "--r", r, "--s", s, "--u", u, "--w", "1", "--n", n)
+        (("app", "diner", "--r", r, "--s", s, "--u", u, "--w", "1", "--n", n), (*N_PLAYER, "applications"))
         for r, s, u, n in (("4", "3.5", "1.5", "2"), ("5", "3.5", "1.5", "3"), ("4", "3", "2", "4"), ("5", "3", "2", "6"))
     ],
-    ("verify", "--file", "tables.json"),
+    (("verify", "--file", "tables.json"), (*N_PLAYER, "balance")),
 ]
 
 ARRAY_COMMANDS = [
-    ("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"),
-    ("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"),
-    *[("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", m) for m in ("paper", "dispatch")],
+    (("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"), (*N_PLAYER, "applications")),
+    (("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"), (*N_PLAYER, "applications")),
+    *[(("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", m), (*N_PLAYER, "applications")) for m in ("paper", "dispatch")],
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
-    [(argv, False) for argv in SCALAR_COMMANDS] + [(argv, True) for argv in ARRAY_COMMANDS],
-    ids=[" ".join(argv) for argv in SCALAR_COMMANDS + ARRAY_COMMANDS],
+    "argv, loads_numpy, modules",
+    [(argv, False, modules) for argv, modules in SCALAR_COMMANDS]
+    + [(argv, True, modules) for argv, modules in ARRAY_COMMANDS],
+    ids=[" ".join(argv) for argv, _ in SCALAR_COMMANDS + ARRAY_COMMANDS],
 )
-def test_only_the_array_subcommands_load_numpy(argv, loads_numpy, tmp_path):
+def test_only_the_array_subcommands_load_numpy(argv, loads_numpy, modules, tmp_path):
     (tmp_path / "tables.json").write_text(json.dumps(TABLES_JSON))
     proc = fresh_python("-X", "importtime", "-m", "cooprob", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == " ".join(argv[:2] if argv[0] == "app" else argv[:1])
     assert bool(imported(proc.stderr, "numpy")) is loads_numpy
+    expected = {"cooprob", "cooprob.cli", "cooprob.errors", *(f"cooprob.{m}" for m in modules)}
+    assert sorted(imported(proc.stderr, "cooprob")) == sorted(expected)
 
 
 def test_importing_the_package_loads_neither_numpy_nor_json():
-    # json is imported by the tables-file reader and the CLI, which need it
-    proc = fresh_python("-X", "importtime", "-c", "import cooprob")
+    # json is imported by the tables-file reader and the CLI, which need it;
+    # the reader's module is imported by name, as the package loads none
+    proc = fresh_python("-X", "importtime", "-c", "import cooprob, cooprob.balance")
     assert proc.returncode == 0, proc.stderr
     assert "cooprob.balance" in imported(proc.stderr, "cooprob")
     assert imported(proc.stderr, "numpy", "json") == []
+
+
+def loaded_modules(statement: str) -> list[str]:
+    """The cooprob modules in ``sys.modules`` after ``statement`` runs in a
+    fresh interpreter."""
+    proc = fresh_python("-c", f"{statement}; import sys; print(sorted(m for m in sys.modules if m.startswith('cooprob')))")
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_package_loads_none_of_its_submodules():
+    assert loaded_modules("import cooprob") == ["cooprob"]
+
+
+def test_importing_the_cli_loads_only_the_errors_module():
+    assert loaded_modules("import cooprob.cli") == ["cooprob", "cooprob.cli", "cooprob.errors"]
+
+
+def test_a_2x2_name_loads_only_tables_and_estimators():
+    assert loaded_modules("import cooprob; cooprob.balanced_p") == [
+        "cooprob", "cooprob.errors", "cooprob.estimators", "cooprob.tables",
+    ]
+
+
+# ------------------------------------------------------- package namespace
+
+
+def test_every_public_name_is_the_owning_submodules_object():
+    import cooprob
+
+    assert len(cooprob.__all__) == len(set(cooprob.__all__)) == 73
+    for module, names in cooprob._EXPORTS.items():
+        owner = importlib.import_module(f"cooprob.{module}")
+        for name in names:
+            assert getattr(cooprob, name) is getattr(owner, name), name
+            assert getattr(cooprob, name).__module__ == owner.__name__, name  # defined there, not re-exported
+
+
+def test_star_import_binds_every_public_name():
+    proc = fresh_python("-c", "from cooprob import *; import cooprob; print(all(globals()[n] is getattr(cooprob, n) for n in cooprob.__all__))")
+    assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    import cooprob
+
+    assert set(cooprob.__all__) <= set(dir(cooprob))
+    assert {"applications", "balance", "cli", "errors", "estimators", "iteration", "nplayer", "tables"} <= set(dir(cooprob))
+
+
+def test_a_submodule_resolves_without_an_import():
+    proc = fresh_python("-c", "import cooprob; print(cooprob.nplayer.__name__, cooprob.nplayer.balanced_pn is cooprob.balanced_pn)")
+    assert (proc.returncode, proc.stdout.strip()) == (0, "cooprob.nplayer True"), proc.stderr
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    import cooprob
+
+    with pytest.raises(AttributeError, match="no attribute 'balanced_q'"):
+        cooprob.balanced_q
 
 
 # every function of the package that uses numpy, called with its arguments
