@@ -3,8 +3,10 @@ Balancing a game table against a target
 =======================================
 
 A designer wants players near 50/50 cooperation with a given expected
-payoff. verify_table scores a candidate; balance_search walks the payoffs
-toward the target without letting the table fall out of its class.
+payoff. verify_table scores a candidate; balance_search moves the payoffs
+to the target without letting the table fall out of its class. It solves
+the two target equations (p and mu) first, and walks the payoffs step by
+step only where that solve misses, and always in integer mode.
 """
 
 import json
@@ -31,21 +33,31 @@ report = verify_table(off, target)
 print(f"(9, 8, 5, 2):   delta_p = {report.delta_p:+.4f}, delta_mu = {report.delta_mu:+.4f}, "
       f"passed = {report.passed}")
 
-# the search fixes it while keeping the table a dilemma
+# the search fixes it while keeping the table a dilemma: the nearest table
+# with p = 0.5 and mu = 6 is still a dilemma, so no step-by-step walk runs
 result = balance_search(off, target)
 print()
-print(f"search met target after {result.iterations} iterations: {result.met_target}")
+print(f"search met target by the solve ({result.iterations} iterations): {result.met_target}")
 print("adjusted table:", tuple(round(v, 3) for v in result.table.values()))
 print(f"now p = {result.report.p_computed:.6f}, mu = {result.report.mu_computed:.6f}")
 
-# integer mode keeps whole-number payoffs, handy for printed rulebooks
+# integer mode keeps whole-number payoffs, handy for printed rulebooks; it
+# walks whole steps from the start instead of solving
 result = balance_search(off, target, step=1.0, integer_mode=True)
-print("integer-mode table:", result.table.values(), "passed:", result.report.passed)
+print("integer-mode table:", result.table.values(), "passed:", result.report.passed,
+      f"after {result.iterations} iterations")
 
-# a far-off target with a small budget reports failure instead of lying
-hopeless = BalanceTarget(p=0.99, mu=100.0, p_tol=0.001, mu_tol=0.01)
+# a far-off target is no harder for the solve than a near one
+far = BalanceTarget(p=0.99, mu=100.0, p_tol=0.001, mu_tol=0.01)
+result = balance_search(off, far, max_iters=10)
+print(f"far target: met = {result.met_target} after {result.iterations} iterations")
+
+# p = 0 needs b = c, which no dilemma has: the solve misses, and the walk
+# reports failure within its small budget instead of lying
+hopeless = BalanceTarget(p=0.0, mu=-100.0, p_tol=0.001, mu_tol=0.01)
 result = balance_search(off, hopeless, max_iters=10)
-print(f"far target: met = {result.met_target}, stalled = {result.stalled}")
+print(f"unreachable target: met = {result.met_target}, stalled = {result.stalled}, "
+      f"iterations = {result.iterations}")
 
 # batch verification from a tables.json manifest, as the CLI does it
 entries = [

@@ -1,5 +1,6 @@
-"""Table balancing: verify payoff tables against design targets and nudge
-them toward a target (p, mu) by greedy coordinate search."""
+"""Table balancing: verify payoff tables against design targets and move a
+2x2 table to a target (p, mu): by a least-norm solve of the two target
+equations, and by greedy coordinate search where that solve misses."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import CooprobError, DomainError, InvalidTableError
-from .estimators import _balance2, _mu2, balanced_p, expected_payoff2
+from .errors import CooprobError, DomainError, InvalidTableError, UnsupportedClassError
+from .estimators import _END_WEIGHTS, _balance2, _mu2, balanced_p, expected_payoff2
 from .nplayer import balanced_p3, expected_payoff3
 from .tables import GameClass, PayoffTable2, PayoffTable3, _class2, classify2
 
@@ -56,10 +57,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a greedy balance search.
+    """Outcome of a balance search.
 
     ``stalled`` is set when no class-preserving neighbor improved the
-    objective before the target was met.
+    objective before the target was met. An answer from the solve has
+    ``iterations`` 0 and ``stalled`` False.
     """
 
     table: PayoffTable2
@@ -97,6 +99,68 @@ def _objective(delta_p: float, delta_mu: float, target: BalanceTarget) -> float:
         return math.inf
 
 
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _target_rows(tag, p):
+    """The coefficients over the payoffs (a, b, c, d) of h(p) = p omega -
+    q psi, the balance function of class ``tag``, and of mu at p.
+
+    At a fixed p both are linear in the payoffs: the class's end weights
+    (``_END_WEIGHTS``) are homogeneous payoff gaps, whole numbers on a unit
+    payoff vector, and h = w1 p^2 + (w0 - s1) p q - s0 q^2. The rows are
+    exact for a ``Fraction`` p.
+    """
+    q = 1 - p
+    ends = _END_WEIGHTS[tag]
+    h = []
+    for unit in _UNITS:
+        _, s0, s1, w0, w1 = map(int, ends(*unit))
+        h.append(w1 * p * p + (w0 - s1) * p * q - s0 * q * q)
+    return h, (p * q, p * p, q * q, p * q)
+
+
+def _solve(values, tag0, target: BalanceTarget) -> SearchResult | None:
+    """The table nearest to ``values`` in the 2-norm on which h(target.p) = 0
+    and mu(target.p) = target.mu, as a search result, if it passes every
+    rule that a search neighbour passes and meets the target; else None.
+
+    h(p*) = 0 makes p* a balance root, not always the one the class's root
+    rule picks, and rounding can miss a tolerance, so the check runs the
+    rule itself.
+    """
+    h, m = _target_rows(tag0, target.p)
+    hh = sum(x * x for x in h)
+    hm = sum(x * y for x, y in zip(h, m))
+    mm = sum(y * y for y in m)
+    det = hh * mm - hm * hm
+    if not 0.0 < det < math.inf:
+        return None
+    rh = -sum(x * v for x, v in zip(h, values))
+    rm = target.mu - sum(y * v for y, v in zip(m, values))
+    yh = (mm * rh - hm * rm) / det
+    ym = (hh * rm - hm * rh) / det
+    cand = tuple(v + yh * x + ym * y for v, x, y in zip(values, h, m))
+    if not all(map(math.isfinite, cand)):
+        return None
+    cls = _class2(*cand)
+    if cls.tag is not tag0:
+        return None
+    try:
+        p = _balance2(tag0, cand)[0]
+    except CooprobError:
+        return None
+    if not 0.0 <= p <= 1.0:
+        return None
+    mu = _mu2(p, *cand)
+    dp, dmu = p - target.p, mu - target.mu
+    if not (abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol):
+        return None
+    # verify_table's report of PayoffTable2(*cand), from the same rules
+    report = VerificationReport(cls, p, mu, dp, dmu, True)
+    return SearchResult(PayoffTable2(*cand), report, True, False, 0)
+
+
 def balance_search(
     table: PayoffTable2,
     target: BalanceTarget,
@@ -104,31 +168,47 @@ def balance_search(
     max_iters: int = 200,
     integer_mode: bool = False,
 ) -> SearchResult:
-    """Greedily perturb payoffs toward the target without changing class.
+    """Move a 2x2 table to the target without changing its class.
 
-    Each round tries +/- step on each of the four payoffs and moves to the
-    best neighbor that lowers the squared tolerance-normalized objective.
-    A neighbor is skipped when a payoff is not finite, when its class tag
-    differs from the starting table's, or when the solver refuses it (an
-    infinite payoff scale, an ambiguous balance root). Stops on target met,
-    stall, or the iteration cap. In integer mode the step is snapped to a
-    whole number (at least 1); only the step is snapped, so a start with
-    non-integer payoffs stays non-integer.
+    A start that misses the target is first solved for: at p = target.p,
+    the balance function h(p) = p omega - q psi and mu are both linear in
+    the four payoffs, so the nearest table in the 2-norm with h = 0 and
+    mu = target.mu is a least-norm solve of two equations. That table is
+    returned, with ``iterations`` 0 and ``stalled`` False, if it passes
+    every rule a neighbour below passes and meets the target.
 
-    Neighbors are scored from their payoffs with the rules that
-    :func:`verify_table` runs; the table and report are built only for the
-    table returned.
+    Otherwise, and always in integer mode, a greedy loop runs from the
+    start. Each round tries +/- step on each of the four payoffs and moves
+    to the best neighbor that lowers the squared tolerance-normalized
+    objective. A neighbor is skipped when a payoff is not finite, when its
+    class tag differs from the starting table's, or when the solver refuses
+    it (an infinite payoff scale, an ambiguous balance root). Stops on
+    target met, stall, or the iteration cap. In integer mode the step is
+    snapped to a whole number (at least 1); only the step is snapped, so a
+    start with non-integer payoffs stays non-integer.
+
+    Neighbors and the solved table are scored from their payoffs with the
+    rules that :func:`verify_table` runs; the table and report are built
+    only for the table returned. A table that is not a ``PayoffTable2``
+    raises ``UnsupportedClassError``; ``step`` must be finite and positive
+    and ``max_iters`` an int of at least 1, or ``DomainError`` is raised.
     """
+    if not isinstance(table, PayoffTable2):
+        raise UnsupportedClassError("balance_search takes 2×2 tables")
     if step <= 0 or not math.isfinite(step):
         raise DomainError("step must be finite and positive")
-    if max_iters < 1:
-        raise DomainError("max_iters must be at least 1")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+        raise DomainError(f"max_iters must be an int of at least 1, got {max_iters!r}")
     if integer_mode:
         step = float(max(1, round(step)))
     tag0 = classify2(table).tag
     report = verify_table(table, target)
     values = table.values()
     passed = report.passed
+    if not (passed or integer_mode):
+        solved = _solve(values, tag0, target)
+        if solved is not None:
+            return solved
     best_obj = _objective(report.delta_p, report.delta_mu, target)
     moved = False
     iterations = 0

@@ -1,8 +1,9 @@
-"""Table verification, greedy balance search, and the tables file format."""
+"""Table verification, balance search, and the tables file format."""
 
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cooprob import (
     InvalidTableError,
     PayoffTable2,
     PayoffTable3,
+    UnsupportedClassError,
     balance,
     balance_search,
     balanced_p,
@@ -24,6 +26,7 @@ from cooprob import (
 )
 from cooprob.balance import SearchResult
 from cooprob.errors import CooprobError
+from cooprob.estimators import _mu2, weights2
 from conftest import CLASS_PATTERNS
 
 
@@ -107,8 +110,47 @@ def test_balance_search_validates_knobs():
     target = BalanceTarget(p=0.5, mu=1.0, p_tol=0.01, mu_tol=0.01)
     with pytest.raises(DomainError):
         balance_search(PayoffTable2(9, 8, 5, 2), target, step=0.0)
-    with pytest.raises(DomainError):
-        balance_search(PayoffTable2(9, 8, 5, 2), target, max_iters=0)
+    for bad in (0, float("nan"), math.inf, -math.inf, 2.5, 3.0, True):
+        with pytest.raises(DomainError, match="max_iters"):
+            balance_search(PayoffTable2(9, 8, 5, 2), target, max_iters=bad)
+
+
+def test_balance_search_refuses_tables_that_are_not_2x2():
+    target = BalanceTarget(p=1.0 / 3.0, mu=5.0, p_tol=0.01, mu_tol=0.01)
+    for table in (PayoffTable3(10, 8, 7, 5, 4, 2), (9, 8, 5, 2)):
+        with pytest.raises(UnsupportedClassError, match="2×2"):
+            balance_search(table, target)
+
+
+class _ExactP(Fraction):
+    """A Fraction p that keeps ``1.0 - p`` and ``0.0 * p``, the float
+    literals of ``weights2`` and ``_mu2``, exact."""
+
+    def __rsub__(self, other):
+        return Fraction(other) - Fraction(self)
+
+    def __rmul__(self, other):
+        return Fraction(other) * Fraction(self)
+
+
+@pytest.mark.parametrize("tag", list(CLASS_PATTERNS))
+def test_target_rows_are_the_balance_function_and_mu_exactly(tag):
+    # the solve rests on h(p) = p omega - q psi and mu being linear in the payoffs at a fixed p
+    quads = ((Fraction(37, 3), Fraction(29, 7), Fraction(-5, 11), Fraction(-17, 6)), (9, 8, 5, 2))
+    for quad in quads:
+        x = [quad[i] for i in CLASS_PATTERNS[tag]]
+        assert classify2(PayoffTable2(*x)).tag is tag
+        for p in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+            h, m = balance._target_rows(tag, p)
+            phi, chi = weights2(tag, *x, _ExactP(p))
+            want_h = p * chi - (1 - p) * phi
+            want_mu = _mu2(_ExactP(p), *x)
+            got_h = sum(hj * xj for hj, xj in zip(h, x))
+            got_mu = sum(mj * xj for mj, xj in zip(m, x))
+            for v in (want_h, want_mu, got_h, got_mu):
+                assert isinstance(v, (int, Fraction))  # no float crept in
+            assert got_h == want_h
+            assert got_mu == want_mu
 
 
 # ------------------------- the per-neighbour search loop, kept as reference
@@ -205,15 +247,44 @@ def _search_jobs(seed, count):
     return jobs
 
 
-def _assert_same_search(*args, **kwargs):
-    got, want = balance_search(*args, **kwargs), reference_search(*args, **kwargs)
-    assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
-    return got
+def _least_norm_table(start, target):
+    """numpy's minimum-norm solution for the payoffs nearest ``start`` with
+    p omega - q psi = 0 and mu = target.mu at p = target.p, the rows taken
+    from ``weights2`` and ``expected_payoff2``."""
+    tag, p = classify2(start).tag, target.p
+    rows = []
+    for unit in np.eye(4):
+        phi, chi = weights2(tag, *unit, p)
+        rows.append((p * chi - (1.0 - p) * phi, expected_payoff2(PayoffTable2(*unit), p)))
+    a = np.array(rows).T
+    x0 = np.array(start.values())
+    return x0 + np.linalg.lstsq(a, np.array([0.0, target.mu]) - a @ x0, rcond=None)[0]
+
+
+def _assert_search(start, target, *args):
+    """Run ``balance_search`` next to ``reference_search``: a job the solve
+    answers meets its target in its class, with the report verify_table
+    gives, at numpy's least-norm table; every other job is the loop's, bit
+    for bit. Returns the result and whether the solve answered."""
+    got, want = balance_search(start, target, *args), reference_search(start, target, *args)
+    solved = got.iterations == 0 and not verify_table(start, target).passed
+    if solved:
+        assert got.met_target and not got.stalled
+        assert got.report.game_class.tag is classify2(start).tag
+        assert got.report == verify_table(got.table, target)
+        scale = max(start.values()) - min(start.values())
+        assert np.abs(np.array(got.table.values()) - _least_norm_table(start, target)).max() <= 1e-9 * scale
+    else:
+        assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+    assert got.met_target or not want.met_target  # no target the loop meets is lost
+    return got, solved
 
 
 def test_balance_search_is_the_per_neighbour_loop():
     jobs = _search_jobs(5, 150)
-    results = [_assert_same_search(*job) for job in jobs]
+    runs = [_assert_search(*job) for job in jobs]
+    results = [r for r, solved in runs if not solved]
+    assert sum(solved for _, solved in runs) >= 150
     assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for job in jobs for v in job[0].values())
     assert {r.report.game_class.tag for r in results} == set(CLASS_PATTERNS)
     assert any(r.report.game_class.is_boundary for r in results)
@@ -231,14 +302,18 @@ def test_balance_search_is_the_per_neighbour_loop():
         ((9, 8, 5, 2), (0.0, -100.0, 1e-6, 1e-6), 0.25, 3, False),
         # a + step overflows to inf, and d - step takes the scale past float64
         ((1.7e308, 5e307, 0.0, -1e306), (0.3, 2e307, 0.01, 1e306), 1e307, 20, False),
-        # a payoff scale past 2**1020: the weights come from the payoffs / 8
+        # a payoff scale past 2**1020: the weights come from the payoffs / 8; the solve answers
         ((1e308, 5e307, 1e307, -1e307), (0.5, 4e307, 0.01, 1e305), 2e306, 30, False),
         ((6e307, 1e307, 5e307, -1e307), (0.6, 4e307, 0.01, 1e305), 2e306, 30, False),
+        # the second job above without integer mode: the solve answers it
+        ((9, 8, 5, 2), (0.5, 6.0, 0.02, 0.1), 0.6, 50, False),
+        # the solved table misses mu by a rounding of 2**-20, past mu_tol: the loop runs
+        ((9e9, 8e9, 5e9, 2e9), (0.5, 6e9 + 0.123, 0.01, 1e-9), 0.5, 3, False),
     ],
 )
 def test_balance_search_is_the_per_neighbour_loop_at_the_edges(start, target, step, max_iters, integer_mode):
-    result = _assert_same_search(PayoffTable2(*start), BalanceTarget(*target), step, max_iters, integer_mode)
-    assert result.iterations >= 1
+    result, solved = _assert_search(PayoffTable2(*start), BalanceTarget(*target), step, max_iters, integer_mode)
+    assert solved or result.iterations >= 1
 
 
 def test_balance_search_scores_an_overflowing_objective_as_infinite():
@@ -248,7 +323,7 @@ def test_balance_search_scores_an_overflowing_objective_as_infinite():
     assert result.report.mu_computed == 1e150
 
 
-def test_balance_search_builds_tables_only_for_its_result(monkeypatch):
+def _count_tables_and_reports(monkeypatch):
     calls = Counter()
     verify, post_init = balance.verify_table, PayoffTable2.__post_init__
 
@@ -260,14 +335,29 @@ def test_balance_search_builds_tables_only_for_its_result(monkeypatch):
         calls["PayoffTable2"] += 1
         post_init(self)
 
-    start = PayoffTable2(9, 8, 5, 2)
     monkeypatch.setattr(balance, "verify_table", counted_verify)
     monkeypatch.setattr(PayoffTable2, "__post_init__", counted_post_init)
-    result = balance_search(start, BalanceTarget(p=0.5, mu=6.0, p_tol=0.01, mu_tol=0.05), step=0.1)
+    return calls
+
+
+def test_balance_search_builds_tables_only_for_its_result(monkeypatch):
+    # the solve's table leaves Chicken here, so the loop runs
+    start = PayoffTable2(5, 4, 1, 2)
+    calls = _count_tables_and_reports(monkeypatch)
+    result = balance_search(start, BalanceTarget(p=0.5, mu=2.7, p_tol=0.01, mu_tol=0.05), step=0.1)
     assert result.met_target and result.iterations >= 5
     # at most one table and one report per iteration, not one per neighbour
     assert 1 <= calls["verify_table"] <= result.iterations + 1
     assert calls["PayoffTable2"] <= result.iterations + 1
+
+
+def test_balance_search_builds_one_table_for_an_answer_from_the_solve(monkeypatch):
+    start = PayoffTable2(9, 8, 5, 2)
+    calls = _count_tables_and_reports(monkeypatch)
+    result = balance_search(start, BalanceTarget(p=0.5, mu=6.0, p_tol=0.01, mu_tol=0.05), step=0.1)
+    assert result.met_target and result.iterations == 0
+    # the start's report, and the solved table with a report from the same rules
+    assert calls == {"verify_table": 1, "PayoffTable2": 1}
 
 
 def _write_tables(tmp_path, payload):
