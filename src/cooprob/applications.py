@@ -60,6 +60,11 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"{name} must be an int of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DinerSpec:
     """Split-the-bill game: expensive dish costs r and is worth s to you,
@@ -77,8 +82,7 @@ class DinerSpec:
             _require_positive_finite(name, getattr(self, name))
         if not (self.r > self.s > self.u > self.w):
             raise DomainError("diner spec requires r > s > u > w")
-        if self.n < 2:
-            raise DomainError("diner spec requires n >= 2 diners")
+        _require_count("n", self.n, 2)
         if not self.r_cb < self.n:
             raise DomainError(
                 f"cost/benefit ratio {self.r_cb!r} must stay below the table size n={self.n}"
@@ -102,8 +106,7 @@ class PublicGoodsSpec:
         _require_positive_finite("r", self.r)
         if not (math.isfinite(self.k) and 1.0 < self.k < 2.0):
             raise DomainError(f"multiplier k={self.k!r} must lie strictly between 1 and 2")
-        if self.options < 1:
-            raise DomainError("options must be at least 1")
+        _require_count("options", self.options, 1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,7 @@ class TravelerSpec:
             raise DomainError("traveler spec requires r > s")
         if not self.s >= self.t:
             raise DomainError("traveler spec requires s >= t")
-        if self.steps < 1:
-            raise DomainError("steps must be at least 1")
+        _require_count("steps", self.steps, 1)
 
     @property
     def v(self) -> float:
@@ -143,8 +145,7 @@ class AttritionSpec:
 
     def __post_init__(self) -> None:
         _require_positive_finite("x", self.x)
-        if self.max_bid < 1:
-            raise DomainError("max_bid must be at least 1")
+        _require_count("max_bid", self.max_bid, 1)
 
 
 def _read_only_copy(values) -> np.ndarray:
@@ -293,8 +294,7 @@ def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
     Reports the numbers; asserts nothing. Valid for n >= 2 and
     n/2 < R_cb < n (the strict-ladder domain).
     """
-    if n < 2:
-        raise DomainError("conjecture test requires n >= 2")
+    _require_count("n", n, 2)
     if not (n / 2.0 < r_cb < n):
         raise DomainError(f"R_cb={r_cb!r} outside the strict-ladder domain (n/2, n)")
     # synthesize a spec realizing the requested ratio: scale cancels

@@ -1,6 +1,8 @@
 """Table balancing: verify payoff tables against design targets and move a
 2x2 table to a target (p, mu): by a least-norm solve of the two target
-equations, and by greedy coordinate search where that solve misses."""
+equations, and by greedy coordinate search where that solve misses. The
+solve and the search measure each table with the rule of
+:func:`verify_table` (``_measure`` and ``_report``)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import CooprobError, DomainError, InvalidTableError, UnsupportedClassError
-from .estimators import _END_WEIGHTS, _balance2, _mu2, balanced_p, expected_payoff2
+from .estimators import _END_WEIGHTS, _balance2, _mu2
 from .nplayer import balanced_p3, expected_payoff3
 from .tables import GameClass, PayoffTable2, PayoffTable3, _class2, classify2
 
@@ -43,7 +45,7 @@ class BalanceTarget:
             raise DomainError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationReport:
     """Computed behavior of a table next to its target."""
 
@@ -53,6 +55,14 @@ class VerificationReport:
     delta_p: float
     delta_mu: float
     passed: bool
+
+    def __init__(
+        self, game_class: GameClass, p_computed: float, mu_computed: float,
+        delta_p: float, delta_mu: float, passed: bool,
+    ) -> None:
+        v = self.__dict__
+        v["game_class"], v["p_computed"], v["mu_computed"] = game_class, p_computed, mu_computed
+        v["delta_p"], v["delta_mu"], v["passed"] = delta_p, delta_mu, passed
 
 
 @dataclass(frozen=True)
@@ -75,21 +85,27 @@ def verify_table(table: PayoffTable2 | PayoffTable3, target: BalanceTarget) -> V
     """Compute (p, mu) for the table and compare against the target."""
     if isinstance(table, PayoffTable3):
         est = balanced_p3(table)
-        mu = expected_payoff3(table, est.p)
-    else:
-        est = balanced_p(table)
-        mu = expected_payoff2(table, est.p)
-    dp = est.p - target.p
-    dmu = mu - target.mu
+        return _report(est.class_used, est.p, expected_payoff3(table, est.p), target)
+    cls = classify2(table)
+    return _report(cls, *_measure(cls.tag, table.values()), target)
+
+
+def _measure(tag, values) -> tuple[float, float]:
+    """(p, mu) of the 2x2 payoffs ``values`` under class ``tag``: the rules of
+    :func:`balanced_p` and :func:`expected_payoff2`, raising as balanced_p
+    does. The one measurement that verify_table, the solve and the search
+    loop make."""
+    p = _balance2(tag, values)[0]
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"estimate p={p!r} outside [0, 1]")
+    return p, _mu2(p, *values)
+
+
+def _report(game_class: GameClass, p: float, mu: float, target: BalanceTarget) -> VerificationReport:
+    """The report of a table of class ``game_class`` measured at (p, mu)."""
+    dp, dmu = p - target.p, mu - target.mu
     passed = abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol
-    return VerificationReport(
-        game_class=est.class_used,
-        p_computed=est.p,
-        mu_computed=mu,
-        delta_p=dp,
-        delta_mu=dmu,
-        passed=passed,
-    )
+    return VerificationReport(game_class, p, mu, dp, dmu, passed)
 
 
 def _objective(delta_p: float, delta_mu: float, target: BalanceTarget) -> float:
@@ -126,8 +142,8 @@ def _solve(values, tag0, target: BalanceTarget) -> SearchResult | None:
     rule that a search neighbour passes and meets the target; else None.
 
     h(p*) = 0 makes p* a balance root, not always the one the class's root
-    rule picks, and rounding can miss a tolerance, so the check runs the
-    rule itself.
+    rule picks, and rounding can miss a tolerance, so the table is measured
+    as verify_table measures it.
     """
     h, m = _target_rows(tag0, target.p)
     hh = sum(x * x for x in h)
@@ -147,17 +163,11 @@ def _solve(values, tag0, target: BalanceTarget) -> SearchResult | None:
     if cls.tag is not tag0:
         return None
     try:
-        p = _balance2(tag0, cand)[0]
+        report = _report(cls, *_measure(tag0, cand), target)
     except CooprobError:
         return None
-    if not 0.0 <= p <= 1.0:
+    if not report.passed:
         return None
-    mu = _mu2(p, *cand)
-    dp, dmu = p - target.p, mu - target.mu
-    if not (abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol):
-        return None
-    # verify_table's report of PayoffTable2(*cand), from the same rules
-    report = VerificationReport(cls, p, mu, dp, dmu, True)
     return SearchResult(PayoffTable2(*cand), report, True, False, 0)
 
 
@@ -187,11 +197,11 @@ def balance_search(
     snapped to a whole number (at least 1); only the step is snapped, so a
     start with non-integer payoffs stays non-integer.
 
-    Neighbors and the solved table are scored from their payoffs with the
-    rules that :func:`verify_table` runs; the table and report are built
-    only for the table returned. A table that is not a ``PayoffTable2``
-    raises ``UnsupportedClassError``; ``step`` must be finite and positive
-    and ``max_iters`` an int of at least 1, or ``DomainError`` is raised.
+    Neighbors and the solved table are measured from their payoffs with
+    the rule of :func:`verify_table`; a table is built only for the one
+    returned. A table that is not a ``PayoffTable2`` raises
+    ``UnsupportedClassError``; ``step`` must be finite and positive and
+    ``max_iters`` an int of at least 1, or ``DomainError`` is raised.
     """
     if not isinstance(table, PayoffTable2):
         raise UnsupportedClassError("balance_search takes 2×2 tables")
@@ -202,20 +212,18 @@ def balance_search(
     if integer_mode:
         step = float(max(1, round(step)))
     tag0 = classify2(table).tag
-    report = verify_table(table, target)
+    report = start = verify_table(table, target)
     values = table.values()
-    passed = report.passed
-    if not (passed or integer_mode):
+    if not (report.passed or integer_mode):
         solved = _solve(values, tag0, target)
         if solved is not None:
             return solved
     best_obj = _objective(report.delta_p, report.delta_mu, target)
-    moved = False
     iterations = 0
     stalled = False
-    while iterations < max_iters and not passed:
+    while iterations < max_iters and not report.passed:
         iterations += 1
-        best_neighbor = None
+        best = None
         a, b, c, d = values
         neighbours = (
             (a + step, b, c, d),
@@ -229,31 +237,25 @@ def balance_search(
         )
         for i, cand in enumerate(neighbours):
             # skipped wherever building and verifying its table would raise:
-            # the moved payoff overflows, the class changes, the solver
-            # refuses the payoffs, or p leaves [0, 1]
-            if not math.isfinite(cand[i // 2]) or _class2(*cand).tag is not tag0:
+            # the moved payoff overflows, the class changes, or the
+            # measurement refuses the payoffs
+            if not math.isfinite(cand[i // 2]) or (cls := _class2(*cand)).tag is not tag0:
                 continue
             try:
-                p = _balance2(tag0, cand)[0]
+                p, mu = _measure(tag0, cand)
             except CooprobError:
                 continue
-            if not 0.0 <= p <= 1.0:
-                continue
-            dp = p - target.p
-            dmu = _mu2(p, *cand) - target.mu
-            obj = _objective(dp, dmu, target)
+            obj = _objective(p - target.p, mu - target.mu, target)
             if obj < best_obj - 1e-15:
                 best_obj = obj
-                best_neighbor = (cand, dp, dmu)
-        if best_neighbor is None:
+                best = (cand, cls, p, mu)
+        if best is None:
             stalled = True
             break
-        values, dp, dmu = best_neighbor
-        passed = abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol
-        moved = True
-    if moved:
+        values, cls, p, mu = best
+        report = _report(cls, p, mu, target)
+    if report is not start:
         table = PayoffTable2(*values)
-        report = verify_table(table, target)
     return SearchResult(table, report, report.passed, stalled, iterations)
 
 

@@ -464,9 +464,7 @@ def _cmd_asym(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_equiprob(args) -> tuple[dict, dict, list[str]]:
     parts = [p for p in args.table.split(",") if p.strip()]
-    players = args.players
-    if players is None:
-        players = 2 if len(parts) == 4 else 3 if len(parts) == 6 else 0
+    players = 2 if len(parts) == 4 else 3 if len(parts) == 6 else 0
     if players == 2:
         from .estimators import equiprobability
         from .tables import PayoffTable2
@@ -482,7 +480,7 @@ def _cmd_equiprob(args) -> tuple[dict, dict, list[str]]:
         report = equiprobability3(table3)
         inputs = {"table": table3.to_dict(), "players": 3}
     else:
-        raise DomainError("--players must be 2 or 3 (or --table must hold 4 or 6 payoffs)")
+        raise DomainError("--table must hold 4 or 6 payoffs")
     payload = {"players": players, "gap": report.gap, "verdict": report.verdict.value}
     return inputs, payload, []
 
@@ -730,7 +728,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("equiprob", help="signed distance from the p = 1/2 locus", parents=[common])
     p.add_argument("--table", required=True, help="4 or 6 payoffs")
-    p.add_argument("--players", type=int, choices=(2, 3), default=None)
     p.set_defaults(func=_cmd_equiprob)
 
     app = sub.add_parser("app", help="applied multi-option games")

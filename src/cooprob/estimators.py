@@ -347,7 +347,7 @@ def _balance2(tag: GameTag, values):
     1/8 on a wide payoff scale.
 
     The whole rule of :func:`balanced_p` except the class and the reported
-    roots; ``balance_search`` scores its neighbours with it. The weights
+    roots; ``verify_table`` and ``balance_search`` measure with it. The weights
     come from the class's entry in ``_END_WEIGHTS``. Raises as
     :func:`balanced_p` does: DomainError for an infinite payoff scale, then
     UnsupportedClassError for Unclassified, then AmbiguousRootError.
@@ -464,14 +464,14 @@ def equiprobability(table: PayoffTable2) -> EquiprobabilityReport:
     balanced, negative leans toward defection.
     """
     a, b, c, d = table.values()
-    gap = 3.0 * (b - c) - (a - d)
+    return _leaning(3.0 * (b - c) - (a - d))
+
+
+def _leaning(gap: float) -> EquiprobabilityReport:
+    """The report of ``gap``, the signed distance from the p = 1/2 locus."""
     if gap == 0.0:
-        verdict = Leaning.BALANCED
-    elif gap > 0.0:
-        verdict = Leaning.COOPERATION
-    else:
-        verdict = Leaning.DEFECTION
-    return EquiprobabilityReport(gap=gap, verdict=verdict)
+        return EquiprobabilityReport(gap, Leaning.BALANCED)
+    return EquiprobabilityReport(gap, Leaning.COOPERATION if gap > 0.0 else Leaning.DEFECTION)
 
 
 def expected_payoff2(table: PayoffTable2, p: float) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     NoValidRootError,
     UnsupportedClassError,
 )
-from .estimators import EquiprobabilityReport, Leaning, _balance_root2
+from .estimators import EquiprobabilityReport, _balance_root2, _leaning
 from .tables import (
     _PD,
     AsymmetricTable2,
@@ -113,14 +113,7 @@ def equiprobability3(table: PayoffTable3) -> EquiprobabilityReport:
     two-player report.
     """
     f, g, h, j, k, m = table.values()
-    gap = 3.0 * (g - k) - (f - m) - 4.0 * (h - j)
-    if gap == 0.0:
-        verdict = Leaning.BALANCED
-    elif gap > 0.0:
-        verdict = Leaning.COOPERATION
-    else:
-        verdict = Leaning.DEFECTION
-    return EquiprobabilityReport(gap=gap, verdict=verdict)
+    return _leaning(3.0 * (g - k) - (f - m) - 4.0 * (h - j))
 
 
 def expected_payoff3(table: PayoffTable3, p: float) -> float:

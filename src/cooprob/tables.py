@@ -79,8 +79,23 @@ def _check_payoffs(table, values) -> None:
             raise InvalidTableError(f"payoff {f.name} must be finite, got {value!r}")
 
 
+class _DictCodec:
+    """``to_dict`` and ``from_dict`` of a table class: its payoffs keyed by
+    field name, in field order."""
+
+    def to_dict(self) -> dict[str, float]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        try:
+            return cls(*[data[f.name] for f in fields(cls)])
+        except KeyError as exc:
+            raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
+
+
 @dataclass(frozen=True, init=False)
-class PayoffTable2:
+class PayoffTable2(_DictCodec):
     """Symmetric two-player payoff table (a, b, c, d)."""
 
     a: float
@@ -112,19 +127,9 @@ class PayoffTable2:
             raise DomainError("scale factor must be positive")
         return PayoffTable2(self.a * factor, self.b * factor, self.c * factor, self.d * factor)
 
-    def to_dict(self) -> dict[str, float]:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PayoffTable2":
-        try:
-            return cls(data["a"], data["b"], data["c"], data["d"])
-        except KeyError as exc:
-            raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
-
 
 @dataclass(frozen=True, init=False)
-class PayoffTable3:
+class PayoffTable3(_DictCodec):
     """Symmetric three-player payoff table (f, g, h, j, k, m)."""
 
     f: float
@@ -155,19 +160,9 @@ class PayoffTable3:
     def values(self) -> tuple[float, ...]:
         return (self.f, self.g, self.h, self.j, self.k, self.m)
 
-    def to_dict(self) -> dict[str, float]:
-        return {"f": self.f, "g": self.g, "h": self.h, "j": self.j, "k": self.k, "m": self.m}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PayoffTable3":
-        try:
-            return cls(data["f"], data["g"], data["h"], data["j"], data["k"], data["m"])
-        except KeyError as exc:
-            raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
-
 
 @dataclass(frozen=True, init=False)
-class AsymmetricTable2:
+class AsymmetricTable2(_DictCodec):
     """Two-player game with a distinct table per side (x and y)."""
 
     ax: float
@@ -208,19 +203,6 @@ class AsymmetricTable2:
     @classmethod
     def from_tables(cls, x: PayoffTable2, y: PayoffTable2) -> "AsymmetricTable2":
         return cls(x.a, x.b, x.c, x.d, y.a, y.b, y.c, y.d)
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "ax": self.ax, "bx": self.bx, "cx": self.cx, "dx": self.dx,
-            "ay": self.ay, "by": self.by, "cy": self.cy, "dy": self.dy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsymmetricTable2":
-        try:
-            return cls(*(data[k] for k in ("ax", "bx", "cx", "dx", "ay", "by", "cy", "dy")))
-        except KeyError as exc:
-            raise InvalidTableError(f"missing payoff key {exc.args[0]!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -426,6 +426,22 @@ def test_traveler_spec_validation():
         TravelerSpec(r=4.0, s=2.0, t=2.0, steps=0)
 
 
+@pytest.mark.parametrize(
+    "build, field, least",
+    [
+        (lambda v: TravelerSpec(100.0, 2.0, 2.0, v), "steps", 1),
+        (lambda v: PublicGoodsSpec(100.0, 1.5, v), "options", 1),
+        (lambda v: AttritionSpec(2.0, v), "max_bid", 1),
+        (lambda v: DinerSpec(r=4.0, s=3.0, u=2.0, w=1.0, n=v), "n", 2),
+        (lambda v: diner_conjecture_test(3.0, v), "n", 2),
+    ],
+)
+def test_spec_counts_must_be_ints_at_their_minimum(build, field, least):
+    for value in (least - 1, least + 0.5, float(least), True, math.nan, math.inf, str(least), None, np.int64(least)):
+        with pytest.raises(DomainError, match=f"^{field} must be an int of at least {least}, got "):
+            build(value)
+
+
 def test_traveler_pair_table_and_formula_agree():
     spec = TravelerSpec(r=4.0, s=2.0, t=2.0, steps=2)
     t = traveler_table2(spec, 1, 0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cooprob import (
+    AmbiguousRootError,
     BalanceTarget,
     DomainError,
     GameTag,
@@ -20,11 +21,12 @@ from cooprob import (
     balance_search,
     balanced_p,
     classify2,
+    estimators,
     expected_payoff2,
     load_table_entries,
     verify_table,
 )
-from cooprob.balance import SearchResult
+from cooprob.balance import SearchResult, VerificationReport
 from cooprob.errors import CooprobError
 from cooprob.estimators import _mu2, weights2
 from conftest import CLASS_PATTERNS
@@ -68,8 +70,85 @@ def test_verify_three_player():
 
 
 def test_verify_unclassified_table_raises():
-    with pytest.raises(Exception):
+    with pytest.raises(UnsupportedClassError):
         verify_table(PayoffTable2(1, 2, 3, 4), BalanceTarget(0.5, 1.0, 0.1, 0.1))
+
+
+def _reference_verify(table, target):
+    """verify_table's report on a 2x2 table, from balanced_p and expected_payoff2."""
+    est = balanced_p(table)
+    mu = expected_payoff2(table, est.p)
+    dp, dmu = est.p - target.p, mu - target.mu
+    return VerificationReport(est.class_used, est.p, mu, dp, dmu, abs(dp) <= target.p_tol and abs(dmu) <= target.mu_tol)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CooprobError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_table_is_balanced_p_and_expected_payoff2():
+    rng = np.random.default_rng(24)
+    tables = []
+    for tag, cols in CLASS_PATTERNS.items():
+        # floats, 0..9 integers with -0.0 for zero (the boundary flags), and
+        # magnitudes of 1e-300, 1e300 and past the 2**1020 payoff scale
+        for scale in (1.0, 1.0, 1e-300, 1e300, 4e305):
+            for _ in range(30):
+                if scale == 1.0 and len(tables) % 2:
+                    vals = [-0.0 if v == 0 else float(v) for v in np.sort(rng.integers(0, 10, 4))[::-1]]
+                else:
+                    vals = (np.sort(rng.uniform(-50.0, 50.0, 4))[::-1] * scale).tolist()
+                vals = [vals[i] for i in cols]
+                if classify2(PayoffTable2(*vals)).tag is tag:
+                    tables.append(PayoffTable2(*vals))
+    assert {classify2(t).tag for t in tables} == set(CLASS_PATTERNS)
+    assert any(classify2(t).is_boundary for t in tables)
+    assert any(math.copysign(1.0, v) < 0.0 for t in tables for v in t.values() if v == 0.0)
+    passed = set()
+    for table in tables:
+        p0 = balanced_p(table).p
+        for target in (
+            BalanceTarget(p0, expected_payoff2(table, p0), 1e-9, 1e-9 * max(map(abs, table.values()))),
+            BalanceTarget(float(rng.uniform(0.0, 1.0)), float(rng.normal()), 0.1, 0.1),
+        ):
+            got, want = verify_table(table, target), _reference_verify(table, target)
+            assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+            assert got.game_class is want.game_class
+            passed.add(got.passed)
+    assert passed == {True, False}
+
+
+def test_verify_table_refuses_as_balanced_p(monkeypatch):
+    target = BalanceTarget(0.5, 1.0, 0.1, 0.1)
+    refused = [
+        (PayoffTable2(1, 2, 3, 4), UnsupportedClassError),  # Unclassified
+        (PayoffTable2(1.7e308, 1, 0, -1.7e308), DomainError),  # a Prisoner's Dilemma whose payoff scale overflows
+        (PayoffTable2(1, 2, 1.7e308, -1.7e308), DomainError),  # both: the scale is refused first
+    ]
+    for table, error in refused:
+        want = _outcome(_reference_verify, table, target)
+        assert want[0] is error
+        assert _outcome(verify_table, table, target) == want
+    # h = p omega - q psi vanishes for every p where psi = p and omega = q; no
+    # strict class ordering gives those weights, so the test hands them to the
+    # Prisoner's Dilemma
+    monkeypatch.setitem(estimators._END_WEIGHTS, GameTag.PRISONERS_DILEMMA, lambda a, b, c, d: (a - d, 0.0, 1.0, 1.0, 0.0))
+    table = PayoffTable2(9, 8, 5, 2)
+    want = _outcome(_reference_verify, table, target)
+    assert want[0] is AmbiguousRootError
+    assert _outcome(verify_table, table, target) == want
+
+
+def test_verify_table_measures_without_the_quadratics_roots():
+    # the balance quadratic's leading coefficient is 5e-324, so its second
+    # root lies past float64 and balanced_p cannot list it; p is 1 to float
+    # precision
+    report = verify_table(PayoffTable2(0.0, -5e-324, -1e307, -1e307), BalanceTarget(1.0, 0.0, 0.01, 0.01))
+    assert report.game_class.tag is GameTag.PRISONERS_DILEMMA
+    assert (report.p_computed, report.mu_computed, report.passed) == (1.0, -5e-324, True)
 
 
 def test_balance_search_reaches_a_nearby_target():

@@ -123,6 +123,14 @@ def test_equiprob_infers_player_count():
     assert three["result"]["gap"] == -4.0
 
 
+def test_equiprob_has_no_players_option(capsys):
+    for table, players in (("9,8,5,2", 2), ("10,8,7,5,4,2", 3)):
+        assert main(["equiprob", "--table", table, "--players", str(players)]) == 64
+        capsys.readouterr()
+        assert main(["equiprob", "--table", table]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["players"] == players
+
+
 def test_app_commands():
     diner = run_json("app", "diner", "--r", "5", "--s", "4.5", "--u", "1.5", "--w", "1")
     assert diner["result"]["p"] == 0.5

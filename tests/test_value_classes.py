@@ -22,6 +22,7 @@ from cooprob import (
     MaximinResult,
     PayoffTable2,
     PayoffTable3,
+    VerificationReport,
     classify2,
     classify3,
 )
@@ -50,6 +51,11 @@ CASES = [
         "EquiprobabilityReport(gap=2, verdict=<Leaning.COOPERATION: 'cooperationLeaning'>)",
     ),
     (MaximinResult, (3, EST), f"MaximinResult(value=3, estimate={EST!r}, degenerate=False)"),
+    (
+        VerificationReport,
+        (PD, 0, 1, 0, -1, True),
+        f"VerificationReport(game_class={PD!r}, p_computed=0, mu_computed=1, delta_p=0, delta_mu=-1, passed=True)",
+    ),
 ]
 FIELDS = {
     PayoffTable2: ["a", "b", "c", "d"],
@@ -58,6 +64,7 @@ FIELDS = {
     Estimate: ["p", "method", "class_used", "roots"],
     EquiprobabilityReport: ["gap", "verdict"],
     MaximinResult: ["value", "estimate", "degenerate"],
+    VerificationReport: ["game_class", "p_computed", "mu_computed", "delta_p", "delta_mu", "passed"],
 }
 TABLES = (PayoffTable2, PayoffTable3, AsymmetricTable2)
 ids = [case[0].__name__ for case in CASES]
@@ -161,6 +168,20 @@ def test_each_table_runs_its_own_post_init_once(cls, monkeypatch):
     copy.copy(built[0])
     pickle.loads(pickle.dumps(built[0]))
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("cls", TABLES, ids=lambda c: c.__name__)
+def test_each_table_codes_its_payoffs_by_field_name(cls):
+    names = FIELDS[cls]
+    args = tuple(float(v) for v in range(len(names), 0, -1))
+    data = cls(*args).to_dict()
+    assert list(data.items()) == list(zip(names, args))
+    assert cls.from_dict({**data, "extra": "ignored"}) == cls(*args)
+    for gone in names[1], names[-1]:
+        with pytest.raises(InvalidTableError, match=f"^missing payoff key {gone!r}$"):
+            cls.from_dict({k: v for k, v in data.items() if k != gone})
+    with pytest.raises(InvalidTableError, match=f"^missing payoff key {names[0]!r}$"):
+        cls.from_dict({})
 
 
 # ------------------------------------------------------------- classification
