@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError, InternalError, UndefinedPairError
 from .estimators import _balanced_p_batch, balanced_p
-from .nplayer import balanced_p3, balanced_pn
 from .tables import Estimate, PayoffTable2, PayoffTable3
 
 __all__ = [
@@ -273,6 +272,8 @@ def diner_p(spec: DinerSpec) -> Estimate:
     Cross-checked against the generic solver on the mapped table; a
     disagreement beyond 1e-12 would mean a mapping bug.
     """
+    from .nplayer import balanced_p3
+
     if spec.n == 2:
         solved = balanced_p(diner_table2(spec))
         p = 2.0 - 2.0 / spec.r_cb
@@ -294,6 +295,8 @@ def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
     Reports the numbers; asserts nothing. Valid for n >= 2 and
     n/2 < R_cb < n (the strict-ladder domain).
     """
+    from .nplayer import balanced_pn
+
     _require_count("n", n, 2)
     if not (n / 2.0 < r_cb < n):
         raise DomainError(f"R_cb={r_cb!r} outside the strict-ladder domain (n/2, n)")
@@ -319,25 +322,30 @@ def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
     return hi, lo
 
 
-def _prefix_sums(p: np.ndarray) -> np.ndarray:
-    """0, p[0], p[0] + p[1], ...: the pairwise weight a level collects from
-    the gaps up to each size, summed in order."""
+def _pairwise_distribution(p: np.ndarray, high_cooperates: bool) -> OptionDistribution:
+    """The distribution over levels 0..n where, of two levels d apart, the
+    higher one (if ``high_cooperates``, else the lower one) cooperates with
+    probability p[d - 1]. Each level collects p over the partners it
+    cooperates against and q over the others, summed in order of gap, and
+    the weights are normalised."""
     import numpy as np
 
-    cum = np.empty(len(p) + 1)
+    n = len(p)
+    cum = np.empty(n + 1)
     cum[0] = 0.0
     np.cumsum(p, out=cum[1:])
-    return cum
-
-
-def _normalized(weights: np.ndarray, spare: np.ndarray) -> OptionDistribution:
-    """The distribution of ``weights``, with their quotients by the total
-    written into ``spare``, a buffer of the same length that is no longer
-    needed."""
-    import numpy as np
-
+    # where the caller handed p over as a temporary, its buffer is freed
+    # here, and the weights reuse it instead of taking fresh pages
+    del p
+    # a level that cooperates against j partners collects cum[j] from them
+    # and n - j - cum[n - j] from the others (cum reversed); j is the level
+    # itself where the higher level cooperates and n minus it otherwise
+    weights = np.arange(n, -1, -1, dtype=float) if high_cooperates else np.arange(n + 1, dtype=float)
+    by_j = weights if high_cooperates else weights[::-1]
+    np.subtract(by_j, cum[::-1], out=by_j)
+    np.add(cum, by_j, out=by_j)
     total = float(weights.sum())
-    return OptionDistribution._owning(np.divide(weights, total, out=spare), weights, total)
+    return OptionDistribution._owning(np.divide(weights, total, out=cum), weights, total)
 
 
 # ---------------------------------------------------------- public goods
@@ -465,14 +473,7 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     """Distribution over claim levels 0..N by direct pairwise summation."""
     import numpy as np
 
-    n = spec.steps
-    cum = _prefix_sums(_traveler_p_by_delta(spec, np.arange(1, n + 1, dtype=float)))
-    # level i: p over its i lower partners (cum[i]), q over its n - i higher
-    # ones (n - i - cum[n - i], and cum[n - i] is cum reversed)
-    weights = np.arange(n, -1, -1, dtype=float)
-    np.subtract(weights, cum[::-1], out=weights)
-    np.add(cum, weights, out=weights)
-    return _normalized(weights, cum)
+    return _pairwise_distribution(_traveler_p_by_delta(spec, np.arange(1, spec.steps + 1, dtype=float)), True)
 
 
 def traveler_mean(spec: TravelerSpec) -> float:
@@ -549,17 +550,10 @@ def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDi
     import numpy as np
 
     _check_attrition_mode(mode)
-    n = spec.max_bid
-    deltas = np.arange(1, n + 1, dtype=float)
+    deltas = np.arange(1, spec.max_bid + 1, dtype=float)
     if mode == "paper":
         p = _attrition_paper_by_delta(spec, deltas)
     else:
         x = spec.x
         p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
-    cum = _prefix_sums(p)
-    # level i: q over its i lower partners (i - cum[i]), p over its n - i
-    # higher ones (cum[n - i], and cum[n - i] is cum reversed)
-    weights = np.arange(n + 1, dtype=float)
-    np.subtract(weights, cum, out=weights)
-    np.add(weights, cum[::-1], out=weights)
-    return _normalized(weights, cum)
+    return _pairwise_distribution(p, False)

@@ -4,6 +4,13 @@ Every command prints one envelope {command, inputs, result, warnings} in the
 selected format (json, csv, or text) with numbers rounded to 12 significant
 digits and deterministic key order. Exit codes: 0 success, 2 validation or
 domain failure, 3 no-valid-root or ambiguity, 64 usage.
+
+This module parses the arguments, runs the subcommand and renders its
+envelope. Each subcommand imports the modules it runs when it is called.
+The applied games' option distributions stay numpy arrays in the envelope,
+and the renderers write them through ``cooprob._writer``, which they import
+at the first array they meet, so a scalar subcommand loads neither numpy
+nor the writer.
 """
 
 from __future__ import annotations
@@ -93,255 +100,6 @@ def _rounded(obj):
     return _round12(obj)
 
 
-# ---------------------------------------------------------- array writer
-#
-# The probabilities and weights of the applied games run to 10^5 options and
-# more, so they are written as whole arrays. Each value becomes a row of four
-# NUL-padded words (sign and lead, two of digits and point, exponent or ".0"
-# tail); the rows of one array are laid out with their keys, indices and
-# separators in one uint8 matrix, which is compacted (NULs dropped) and
-# decoded once. The output is byte for byte that of ``repr(_round12(v))``
-# for each value.
-
-# the exponents the lookup tables cover, those of every normal float and more
-_E = 330
-# rows per pass: a pass's temporaries stay small enough for the allocator to
-# reuse, where whole-array ones would be fresh pages each time
-_CHUNK = 8192
-
-
-def _packed(strings):
-    """ASCII strings of up to 8 bytes as NUL-padded little-endian words, so
-    that byte j of a word is its bits 8j to 8j + 7 and a byte shift is a bit
-    shift by 8."""
-    import numpy as np
-
-    return np.frombuffer(b"".join(s.encode().ljust(8, b"\0") for s in strings), dtype="<u8")
-
-
-@functools.cache
-def _writer_tables():
-    """Lookup tables of the array writer, built on first use."""
-    import numpy as np
-
-    # the groups 0000..9999 of 4 digits, and the length of each before its
-    # trailing zeros (the place of its last nonzero digit, -12 for 0000: the
-    # most of the three groups' lengths, offset by 0, 4 and 8, is then the
-    # length of a 12-digit mantissa before its trailing zeros)
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    groups = np.zeros((10000, 8), np.uint8)
-    groups[:, :4] = digits + ord("0")
-    lengths = np.max((digits != 0) * np.arange(1, 5), axis=1)
-    lengths[0] = -12
-    prefixes, suffixes = [], []
-    for e in range(-_E, _E + 1):
-        fixed = -4 <= e < 16
-        lead = "0." + "0" * (-e - 1) if fixed and e < 0 else ""
-        prefixes += [lead, "-" + lead]  # by sign
-        if not fixed:
-            suffixes += [f"e{e:+03d}"] * 2
-        elif e >= 11:
-            suffixes += ["0" * (e - 11) + ".0"] * 2
-        else:  # by whether a fraction is left
-            suffixes += ["", "0" if e >= 0 else ""]
-    low = [(1 << 8 * min(q, 8)) - 1 for q in range(18)]
-    high = [(1 << 8 * min(max(q - 8, 0), 8)) - 1 for q in range(18)]
-    return {
-        # 10^k for |k| <= _E, correctly rounded
-        "powers": np.array([float(f"1e{k}") for k in range(-_E, _E + 1)]),
-        "groups": groups.view("<u8").ravel(),
-        "lengths": lengths,
-        "prefixes": _packed(prefixes),
-        "suffixes": _packed(suffixes),
-        # the first q bytes of a 16-byte pair of words, the bytes after byte
-        # q, and a point at byte q
-        "low": np.array(low, dtype=np.uint64),
-        "high": np.array(high, dtype=np.uint64),
-        "after_low": ~np.array(low[1:] + [2**64 - 1], dtype=np.uint64),
-        "after_high": ~np.array(high[1:] + [2**64 - 1], dtype=np.uint64),
-        "point_low": np.array([ord(".") << 8 * q if q < 8 else 0 for q in range(18)], dtype=np.uint64),
-        "point_high": np.array([ord(".") << 8 * (q - 8) if 8 <= q < 16 else 0 for q in range(18)], dtype=np.uint64),
-    }
-
-
-def _decimals(values):
-    """``(m, e, special)`` for an array of floats: the 12-digit mantissa m in
-    [1e11, 1e12), as exact float64 integers, and the exponent e with
-    ``_round12(|v|) = m 10^(e - 11)``; and the zeros, subnormals and
-    non-finite values, which have no such form that repr prints.
-
-    For |v| in [1e-280, 1e280], y = |v| 10^(11 - e) takes two roundings, the
-    power's and the product's, so it lies within 3e-4 of the exact product,
-    and ``rint(y)`` is the correctly rounded mantissa wherever frac(y) is
-    more than 1e-3 from 1/2. The rows nearer a tie than that (about 0.2 % of
-    random values) and the normal values outside that range take m and e
-    from Python's correctly rounded ``"{:.11e}"`` instead.
-    """
-    import numpy as np
-
-    powers = _writer_tables()["powers"]
-    a = np.abs(values)
-    special = ~((a >= sys.float_info.min) & (a < math.inf))
-    fast = (a >= 1e-280) & (a <= 1e280)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * powers[_E + 11 - e]
-    # log10 may land one off next to a power of ten; the range test mends it
-    e += y >= 1e12
-    e -= y < 1e11
-    np.multiply(a, powers[_E + 11 - e], out=y)
-    m = np.rint(y)
-    y -= np.floor(y)
-    fast &= np.abs(y - 0.5) > 1e-3
-    top = m == 1e12
-    m[top] = 1e11
-    e += top
-    at = np.flatnonzero(~fast & ~special)
-    if len(at):
-        strings = [f"{v:.11e}" for v in np.abs(values[at]).tolist()]  # d.ddddddddddde±XX
-        m[at] = [float(s[0] + s[2:13]) for s in strings]
-        e[at] = [int(s[14:]) for s in strings]
-    return m, e, special
-
-
-def _repr_columns(values) -> list:
-    """``repr(_round12(v))`` for each float in ``values``, as a list of
-    NUL-padded (n, w) uint8 column blocks: the four words of each row, each
-    cut after the last byte some row uses, so a word no row uses is gone.
-    Special values (see :func:`_decimals`) take the scalar rule, written
-    from the first word of digits on."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    words = np.empty((len(values), 4), "<u8")
-    for start in range(0, len(values), _CHUNK):
-        _write_reprs(values[start:start + _CHUNK], words[start:start + _CHUNK])
-    rows = words.view(np.uint8)
-    widths = [(int(np.bitwise_or.reduce(words[:, j])).bit_length() + 7) // 8 for j in range(4)]
-    return [rows[:, 8 * j:8 * j + width] for j, width in enumerate(widths) if width]
-
-
-def _write_reprs(values, words) -> None:
-    """The rows of :func:`_repr_columns` for one chunk, written into its
-    (n, 4) ``words``."""
-    import numpy as np
-
-    t = _writer_tables()
-    m, e, special = _decimals(values)
-    # m's three groups of 4 digits, split exactly in float64
-    g0 = np.floor(m / 1e8)
-    rest = m - g0 * 1e8
-    g1 = np.floor(rest / 1e4)
-    g2 = (rest - g1 * 1e4).astype(np.intp)
-    g0, g1 = g0.astype(np.intp), g1.astype(np.intp)
-    lo = t["groups"][g0] | t["groups"][g1] << np.uint64(32)
-    hi = t["groups"][g2]
-    lengths = t["lengths"]
-    # the digits of m before its trailing zeros
-    sig = np.maximum(np.maximum(lengths[g0], lengths[g1] + 4), lengths[g2] + 8)
-    fixed = (e >= -4) & (e < 16)
-    # a fixed-point number keeps the zeros of its integer part
-    keep = np.minimum(np.where(fixed, np.maximum(sig, e + 1), sig), 12)
-    lo &= t["low"][keep]
-    hi &= t["high"][keep]
-    # the point follows digit e in fixed notation below e = 11, and the
-    # first digit in exponent notation when a second one follows; 16 is none
-    q = np.where(fixed, np.where((e >= 0) & (e < 11), e + 1, 16), np.where(sig > 1, 1, 16))
-    eight = np.uint64(8)
-    words[:, 0] = t["prefixes"][(e + _E) * 2 + np.signbit(values)]
-    words[:, 1] = lo & t["low"][q] | lo << eight & t["after_low"][q] | t["point_low"][q]
-    words[:, 2] = hi & t["high"][q] | (hi << eight | lo >> np.uint64(56)) & t["after_high"][q] | t["point_high"][q]
-    words[:, 3] = t["suffixes"][(e + _E) * 2 + (sig <= e + 1)]
-    if special.any():
-        at = np.flatnonzero(special)
-        text = np.zeros((len(at), 32), np.uint8)
-        text[:, 8:] = np.array([repr(_round12(v)) for v in values[at].tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
-        words[at] = text.view("<u8")
-
-
-def _rounded_array(values):
-    """``_round12(v)`` for each float in ``values``: m / 10^(11 - e) is one
-    correctly rounded operation, as ``float`` of the 12-digit string is,
-    where the power is exact (|11 - e| <= 22). The scalar rule takes the
-    other rows."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    m, e, special = _decimals(values)
-    k = 11 - e
-    power = _writer_tables()["powers"][_E + np.minimum(np.abs(k), 22)]
-    rounded = np.where(k >= 0, m / power, m * power)
-    np.copysign(rounded, values, out=rounded)
-    at = np.flatnonzero(special | (np.abs(k) > 22))
-    rounded[at] = [_round12(v) for v in values[at].tolist()]
-    return rounded
-
-
-def _index_rows(n: int):
-    """The indices 0..n-1 in decimal, as the rows of a NUL-padded uint8 matrix."""
-    import numpy as np
-
-    width = len(str(max(n - 1, 0)))
-    words = -(-width // 4)
-    groups = np.empty((n, words), "<u4")
-    index = np.arange(n)
-    for j in range(words):
-        groups[:, words - 1 - j] = _writer_tables()["groups"][index // 10 ** (4 * j) % 10**4]
-    digits = groups.view(np.uint8)[:, 4 * words - width:]
-    for col in range(width - 1):  # the leading zeros, in the rows below the column's place
-        digits[: 10 ** (width - 1 - col), col] = 0
-    return digits
-
-
-def _block(n: int, *parts) -> str:
-    """n rows of ``parts`` side by side, NULs dropped, as one string. A part
-    is bytes, the same in every row, or an (n, w) uint8 matrix."""
-    import numpy as np
-
-    widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
-    out = np.empty((min(n, _CHUNK), sum(widths)), np.uint8)
-    starts = np.cumsum([0] + widths).tolist()
-    arrays = []
-    for part, col in zip(parts, starts):
-        if isinstance(part, bytes):
-            out[:, col:col + len(part)] = np.frombuffer(part, np.uint8)
-        else:
-            arrays.append((part, col))
-    text = []
-    for start in range(0, n, _CHUNK):
-        chunk = out[: min(n - start, _CHUNK)]
-        for part, col in arrays:
-            chunk[:, col:col + part.shape[1]] = part[start:start + _CHUNK]
-        flat = chunk.ravel()
-        text.append(flat[flat != 0].tobytes().decode())
-    return "".join(text)
-
-
-def _float_reprs(values) -> list[str]:
-    """``repr(_round12(v))`` for each float in ``values``, one string per
-    value, by the renderers' bulk rule. It is exact for every float: numpy's
-    mantissa is taken only where it is more than 1e-3 from a rounding tie
-    and 1e-280 <= |v| <= 1e280 (see :func:`_decimals`), and the other rows
-    take Python's formatting."""
-    return _block(len(values), *_repr_columns(values), b"\n").split("\n")[:-1]
-
-
-class _Numbers:
-    """An array of floats, rounded and written once by :func:`_repr_columns`.
-
-    The renderers lay its columns out in whole blocks instead of visiting
-    each value, with the bytes of ``repr(_round12(v))`` for every value
-    (exact as :func:`_float_reprs` is). JSON does so too, so the values must
-    be finite, as they are in every ``OptionDistribution``.
-    """
-
-    __slots__ = ("values", "columns")
-
-    def __init__(self, values):
-        self.values = values
-        self.columns = _repr_columns(values)
-
-
 def _class_payload(game_class) -> dict:
     return {
         "class": game_class.tag.value,
@@ -358,8 +116,8 @@ def _estimate_payload(est) -> dict:
 
 def _distribution_payload(dist) -> dict:
     return {
-        "probabilities": _Numbers(dist.probabilities),
-        "weights": _Numbers(dist.weights),
+        "probabilities": dist.probabilities,
+        "weights": dist.weights,
         "total": dist.total,
     }
 
@@ -618,39 +376,34 @@ def _is_probability_key(key: str) -> bool:
     return len(parent) >= 2 and parent[-2] == "probabilities"
 
 
-def _json(value, indent: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, indent=2)``, nested at ``indent``, to
-    ``out`` piece by piece, with ``_Numbers`` written as arrays of their
-    rows. The pieces are joined once, so a large array is not copied again
-    at each level of nesting."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, brackets = [(f"{json.dumps(k)}: ", v) for k, v in value.items()], "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [("", v) for v in value], "[]"
-    elif isinstance(value, _Numbers):
-        # every row takes a separator, and the last one's is cut off
-        sep = f",\n{inner}"
-        body = _block(len(value.values), *value.columns, sep.encode())
-        out.append(f"[\n{inner}{body[: -len(sep)]}\n{indent}]" if body else "[]")
-        return
-    else:
-        out.append(json.dumps(value))
-        return
-    if not items:
-        out.append(brackets)
-        return
-    out.append(brackets[0])
-    for i, (head, item) in enumerate(items):
-        out.append(f"{',' if i else ''}\n{inner}{head}")
-        _json(item, inner, out)
-    out.append(f"\n{indent}{brackets[1]}")
+def _is_array(value) -> bool:
+    """Whether ``value`` is a numpy array, asked without importing numpy: no
+    array exists before numpy is loaded."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.ndarray)
 
 
 def _render(envelope: dict, fmt: str) -> str:
     if fmt == "json":
-        out: list[str] = []
-        _json(envelope, "", out)
+        arrays: list = []
+        # each array is written as the string "\0" and then replaced by its
+        # rows, in the order json.dumps met them; no envelope that holds an
+        # array has a string "\0" of its own
+        text = json.dumps(envelope, indent=2, default=lambda a: arrays.append(a) or "\0")
+        if not arrays:
+            return text + "\n"
+        from . import _writer as w
+
+        pieces = text.split(json.dumps("\0"))
+        out = [pieces[0]]
+        for values, piece in zip(arrays, pieces[1:]):
+            line = out[-1].rsplit("\n", 1)[-1]
+            indent = line[: len(line) - len(line.lstrip(" "))]
+            inner = indent + "  "
+            # every row takes a separator, and the last one's is cut off
+            sep = f",\n{inner}"
+            body = w._block(len(values), *w._repr_columns(values), sep.encode())
+            out += [f"[\n{inner}{body[: -len(sep)]}\n{indent}]" if body else "[]", piece]
         return "".join(out) + "\n"
     if fmt == "csv":
         flat: list[tuple[str, object]] = []
@@ -659,10 +412,12 @@ def _render(envelope: dict, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, value in flat:
-            if isinstance(value, _Numbers):
+            if _is_array(value):
+                from . import _writer as w
+
                 # neither the keys nor the numbers need csv quoting
-                n = len(value.values)
-                buf.write(_block(n, f"{key}.".encode(), _index_rows(n), b",", *value.columns, b"\n"))
+                n = len(value)
+                buf.write(w._block(n, f"{key}.".encode(), w._index_rows(n), b",", *w._repr_columns(value), b"\n"))
             elif value is None:
                 writer.writerow([key, ""])
             elif isinstance(value, bool):
@@ -675,14 +430,16 @@ def _render(envelope: dict, fmt: str) -> str:
         _flatten("", envelope["result"], flat)
         lines = [f"{envelope['command']}:"]
         for key, value in flat:
-            if isinstance(value, _Numbers):
-                n = len(value.values)
+            if _is_array(value):
+                from . import _writer as w
+
+                n = len(value)
                 tail = [b"\n"]
                 # every element key ends in its index, so one test covers them all
                 if _is_probability_key(f"{key}.0"):
-                    tail = [b" (", *_repr_columns(_rounded_array(value.values) * 100.0), b"%)\n"]
+                    tail = [b" (", *w._repr_columns(w._rounded_array(value) * 100.0), b"%)\n"]
                 if n:
-                    lines.append(_block(n, f"  {key}.".encode(), _index_rows(n), b" = ", *value.columns, *tail)[:-1])
+                    lines.append(w._block(n, f"  {key}.".encode(), w._index_rows(n), b" = ", *w._repr_columns(value), *tail)[:-1])
             elif _is_probability_key(key) and isinstance(value, float) and not isinstance(value, bool):
                 lines.append(f"  {key} = {value} ({_round12(value * 100.0)}%)")
             else:

@@ -258,6 +258,7 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, flo
 
     Every caller's quadratic changes sign on [0, 1], so its roots are real,
     and a negative discriminant is rounding at a double root: it counts as 0.
+    A root past float64's range is an infinity of its sign.
     """
     m = max(abs(qb), math.sqrt(abs(qa)) * math.sqrt(abs(qc)))  # the scale of t below
     if not _TINY < m < _HUGE:
@@ -273,7 +274,8 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, flo
     if t == 0.0:
         # both roots zero (qb = 0, disc = 0)
         return (0.0, 0.0)
-    r1 = t / qa
+    # the rescale can flush a subnormal qa to 0, where t / qa is past float64
+    r1 = t / qa if qa else math.copysign(math.inf, t * math.copysign(1.0, qa))
     r2 = qc / t
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
@@ -376,7 +378,9 @@ def balanced_p(table: PayoffTable2) -> Estimate:
 
     ``roots`` lists both real roots of the balance quadratic in power form,
     k p^2 + (w0 + 2 s0 - s1) p - s0 with k = (w1 - w0) + (s1 - s0), where
-    (s, w) are the weights at p = 0 and 1; where k is 0 it is (p,).
+    (s, w) are the weights at p = 0 and 1; where k is 0 it is (p,). A root
+    past float64's range is listed as an infinity of its sign: for
+    (0, -5e-324, -1e307, -1e307), p = 1 and the roots are (-inf, 1.0).
     Unclassified tables raise UnsupportedClassError.
 
     ``_balanced_p_batch`` mirrors this function row by row over arrays of
@@ -412,15 +416,16 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
     """``balanced_p(PayoffTable2(a[i], b[i], c[i], d[i])).p`` for
     every row i, bit for bit, computed with numpy.
 
-    The payoffs broadcast to one 1-D float64 array, and each class's rows
-    take their end weights from ``_END_WEIGHTS`` as the scalar path does.
+    The payoffs broadcast to one 1-D float64 array, or to a 0-d one, which
+    is one row, and each class's rows take their end weights from
+    ``_END_WEIGHTS`` as the scalar path does.
     When some row would make the scalar path raise, the first such row goes
     through :func:`balanced_p` and its error is raised with the row index in
     front of the message.
     """
     import numpy as np
 
-    payoffs = np.array(np.broadcast_arrays(a, b, c, d), dtype=np.float64)
+    payoffs = np.array(np.broadcast_arrays(a, b, c, d), dtype=np.float64).reshape(4, -1)
     a, b, c, d = payoffs
     p = np.zeros(a.shape)
     fails = np.ones(a.shape, dtype=bool)  # until one of the classes claims the row

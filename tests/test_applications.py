@@ -212,7 +212,8 @@ def test_the_builders_hand_over_their_buffers_without_a_copy(monkeypatch):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: applications._normalized(np.array([1.0, -2.0, 2.0]), np.empty(3)), "negative probability"),
+        # a pair probability of 3 leaves level 0 the weight 1 - 3
+        (lambda: applications._pairwise_distribution(np.array([3.0]), True), "negative probability"),
         (lambda: OptionDistribution._owning(np.array([0.5, 0.6]), np.ones(2), 2.0), "sums to"),
         (lambda: OptionDistribution._owning(np.array([0.5, 0.5]), np.ones(3), 2.0), "1-D arrays of one length"),
     ],

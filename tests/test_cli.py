@@ -1,6 +1,7 @@
 """End-to-end CLI checks through a real subprocess."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooprob import cli
+from cooprob import _writer, cli
 from cooprob.cli import UsageError, main
 
 CMD = [sys.executable, "-m", "cooprob"]
@@ -162,6 +163,20 @@ def test_app_envelopes_are_byte_identical_to_the_golden_record(command, capsys):
     # ones must render the same bytes in every format
     assert main(command.split()) == 0
     assert capsys.readouterr().out == APP_GOLDEN[command]
+
+
+# SHA-256 of stdout of each array subcommand, in every format, at sizes whose
+# option counts (the flag plus 1) reach 8191, 8192 and 8193, around the
+# writer's 8192-row passes
+APP_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "app_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(APP_DIGESTS))
+def test_app_envelopes_hash_to_the_recorded_digests(command, capsys):
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == APP_DIGESTS[command]
 
 
 def test_attrition_mode_warning_presence():
@@ -378,6 +393,7 @@ def test_float64_overflow_exits_2_without_a_traceback(args):
     [
         ("1e300,1e200,0,-1e200", 9.9999999999999996e-51),  # (b - d)^2 overflows float64
         ("5e18,1,0,0.5", 5.4772255730516611e-10),  # Chicken; eps_root once made it ambiguous
+        ("0,-5e-324,-1e307,-1e307", 1.0),  # the other root is past float64; it once divided by 0
     ],
 )
 def test_extreme_two_player_tables_are_answered(table, p):
@@ -556,9 +572,14 @@ EDGE_VALUES = [
 ]
 
 
+def _float_reprs(values) -> list[str]:
+    """The writer's string for each value, one row each."""
+    return _writer._block(len(values), *_writer._repr_columns(values), b"\n").split("\n")[:-1]
+
+
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
 def test_bulk_number_rule_on_edge_values(value):
-    assert cli._float_reprs([value]) == [repr(_ref_round12(value))]
+    assert _float_reprs([value]) == [repr(_ref_round12(value))]
 
 
 def _ulp_neighbours(values):
@@ -575,22 +596,22 @@ SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 1
 
 @pytest.mark.parametrize("values", [NEAR_TIES, POWER_NEIGHBOURS, SPECIAL_VALUES], ids=["ties", "powers", "special"])
 def test_bulk_number_rule_at_its_seams(values):
-    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
-    assert cli._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
+    assert _float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+    assert _writer._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
 
 
 def test_bulk_number_rule_on_a_log_uniform_draw():
     rng = np.random.default_rng(20141)
     values = np.exp(rng.uniform(math.log(1e-320), math.log(1e308), 200_000)) * rng.choice([-1.0, 1.0], 200_000)
     values = values.tolist()
-    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
-    assert cli._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
+    assert _float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+    assert _writer._rounded_array(values).tobytes() == np.array([_ref_round12(v) for v in values]).tobytes()
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), max_size=20))
 @settings(max_examples=500, deadline=None)
 def test_bulk_number_rule_matches_per_value_rounding(values):
-    assert cli._float_reprs(values) == [repr(_ref_round12(v)) for v in values]
+    assert _float_reprs(values) == [repr(_ref_round12(v)) for v in values]
 
 
 BULK_COMMANDS = [
@@ -635,6 +656,6 @@ def test_bulk_renderer_matches_on_a_synthetic_envelope(fmt):
             "warnings": ['a note, with a comma and a "quote"'],
         }
 
-    bulk = {k: cli._rounded(v) for k, v in envelope(cli._Numbers).items()}
+    bulk = {k: cli._rounded(v) for k, v in envelope(lambda v: np.array(v, dtype=float)).items()}
     ref = {k: _ref_rounded(v) for k, v in envelope(list).items()}
     assert cli._render(bulk, fmt) == _ref_render(ref, fmt)

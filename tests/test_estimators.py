@@ -1,5 +1,6 @@
 """Two-player estimators: balanced roots, baselines, weights, payoffs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cooprob import (
     AmbiguousRootError,
+    CooprobError,
     DomainError,
     GameTag,
     InvalidTableError,
@@ -197,6 +199,37 @@ def test_a_dilemma_past_the_square_of_its_gaps_is_answered():
     assert all(math.isfinite(r) for r in est.roots)
     rows = np.array([(9.0, 8.0, 5.0, 2.0), table])
     assert _balanced_p_batch(*rows.T)[1] == est.p
+
+
+# signed zeros, subnormals, +-1..3 and +-1e307, +-1.7e308
+EXTREME_GRID = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-310, -1e-310, 2.2250738585072009e-308,
+    1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e307, -1e307, 1.7e308, -1.7e308,
+]
+
+
+def test_a_root_past_float64_is_an_infinity_and_the_batch_agrees_row_by_row():
+    # on 65 of these dilemmas, such as (0, -5e-324, -1e307, -1e307), the
+    # rescale of the balance quadratic flushed its subnormal leading
+    # coefficient to 0, and balanced_p divided by it
+    rows, ps, infinite = [], [], []
+    for values in itertools.product(EXTREME_GRID, repeat=4):
+        try:
+            est = balanced_p(PayoffTable2(*values))
+        except CooprobError:
+            continue
+        rows.append(values)
+        ps.append(est.p)
+        if not all(math.isfinite(r) for r in est.roots):
+            infinite.append((values, est))
+    assert np.array_equal(_bits(_balanced_p_batch(*np.array(rows).T)), _bits(ps))
+    assert len(infinite) == 146
+    for values, est in infinite:
+        assert est.p in est.roots
+        one = _balanced_p_batch(*values)  # plain floats are one row
+        assert one.shape == (1,) and _bits(one) == _bits([est.p])
+    est = balanced_p(PayoffTable2(0.0, -5e-324, -1e307, -1e307))
+    assert (est.p, est.roots) == (1.0, (-math.inf, 1.0))
 
 
 # -------------------------------------------------------------- baselines

@@ -70,10 +70,12 @@ SCALAR_COMMANDS = [
     (("verify", "--file", "tables.json"), (*N_PLAYER, "balance")),
 ]
 
+# the array subcommands run no n-player code, and write through the writer
+ARRAY_MODULES = (*TWO_PLAYER, "applications", "_writer")
 ARRAY_COMMANDS = [
-    (("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"), (*N_PLAYER, "applications")),
-    (("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"), (*N_PLAYER, "applications")),
-    *[(("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", m), (*N_PLAYER, "applications")) for m in ("paper", "dispatch")],
+    (("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"), ARRAY_MODULES),
+    (("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"), ARRAY_MODULES),
+    *[(("app", "attrition", "--x", "2", "--max-bid", "4", "--mode", m), ARRAY_MODULES) for m in ("paper", "dispatch")],
 ]
 
 
@@ -185,20 +187,19 @@ ARRAY_CALLS = {
     "applications._attrition_paper_by_delta": "applications.AttritionSpec(2.0, 4), np.array([1.0, 3.0])",
     "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
     "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",
-    "applications._prefix_sums": "np.array([0.5, 0.25])",
-    "applications._normalized": "np.array([1.0, 3.0]), np.empty(2)",
-    "cli._packed": "['0.', '-0.000', 'e+16']",
-    "cli._writer_tables": "",
-    "cli._decimals": "np.array([0.5, -1e-7, 0.0, 999999999999.5])",
-    "cli._repr_columns": "[0.5, -1e-7, 0.0, 999999999999.5]",
-    "cli._write_reprs": "np.array([0.5]), np.empty((1, 4), '<u8')",
-    "cli._rounded_array": "[0.5, -1e-7, 0.0, 1e-30]",
-    "cli._index_rows": "12",
-    "cli._block": "2, b'x', np.array([[49, 0], [50, 51]], np.uint8), b'\\n'",
+    "applications._pairwise_distribution": "np.array([0.5, 0.25]), False",
+    "_writer._packed": "['0.', '-0.000', 'e+16']",
+    "_writer._writer_tables": "",
+    "_writer._decimals": "np.array([0.5, -1e-7, 0.0, 999999999999.5])",
+    "_writer._repr_columns": "[0.5, -1e-7, 0.0, 999999999999.5]",
+    "_writer._write_reprs": "np.array([0.5]), np.empty((1, 4), '<u8')",
+    "_writer._rounded_array": "[0.5, -1e-7, 0.0, 1e-30]",
+    "_writer._index_rows": "12",
+    "_writer._block": "2, b'x', np.array([[49, 0], [50, 51]], np.uint8), b'\\n'",
 }
 
 PRELUDE = """if True:
-    from cooprob import applications, cli, estimators, iteration, nplayer, tables
+    from cooprob import _writer, applications, estimators, iteration, nplayer, tables
     import numpy as np
 
     def plain(x):
