@@ -47,8 +47,8 @@ _EXPORTS = {
         "equiprobability3", "expected_payoff3",
     ),
     "tables": (
-        "DEFAULT_POLICY", "AsymmetricTable2", "Estimate", "GameClass", "GameTag", "NumericPolicy",
-        "PayoffTable2", "PayoffTable3", "classify2", "classify3", "payoff_scale",
+        "AsymmetricTable2", "Estimate", "GameClass", "GameTag", "PayoffTable2", "PayoffTable3",
+        "classify2", "classify3", "payoff_scale",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -222,29 +222,20 @@ class ConjectureReport:
 
 
 def diner_table2(spec: DinerSpec) -> PayoffTable2:
-    """Two-diner payoff table; the even bill split cancels the quadratic
-    term of the balance polynomial, so the closed form is linear."""
+    """Two-diner payoff table, the ladder of :func:`diner_ladder`; the even
+    bill split cancels the quadratic term of the balance polynomial, so the
+    closed form is linear."""
     if spec.n != 2:
         raise DomainError(f"two-player table requires n=2, spec has n={spec.n}")
-    r, s, u, w = spec.r, spec.s, spec.u, spec.w
-    half = (r + w) / 2.0
-    return PayoffTable2(a=s - half, b=u - w, c=s - r, d=u - half)
+    return PayoffTable2(*diner_ladder(spec))
 
 
 def diner_table3(spec: DinerSpec) -> PayoffTable3:
-    """Three-diner payoff table; valid for 1.5 < R_cb < 3."""
+    """Three-diner payoff table, the ladder of :func:`diner_ladder`; valid
+    for 1.5 < R_cb < 3."""
     if spec.n != 3:
         raise DomainError(f"three-player table requires n=3, spec has n={spec.n}")
-    if not spec.r_cb > 1.5:
-        raise DomainError(
-            f"cost/benefit ratio {spec.r_cb!r} must exceed n/2 = 1.5 for a dilemma chain"
-        )
-    r, s, u, w = spec.r, spec.s, spec.u, spec.w
-    shares = [(kk * r + (3 - kk) * w) / 3.0 for kk in range(4)]
-    return PayoffTable3(
-        f=s - shares[1], g=u - shares[0], h=s - shares[2],
-        j=u - shares[1], k=s - shares[3], m=u - shares[2],
-    )
+    return PayoffTable3(*diner_ladder(spec))
 
 
 def diner_ladder(spec: DinerSpec) -> list[float]:
@@ -267,21 +258,22 @@ def diner_ladder(spec: DinerSpec) -> list[float]:
 
 
 def diner_p(spec: DinerSpec) -> Estimate:
-    """Closed-form balanced probability p = 2 - n / R_cb for n in {2, 3}.
+    """Closed-form balanced probability p = 2 - n / R_cb for every n >= 2 on
+    n/2 < R_cb < n: every psi gap of the ladder is (u - s) + 2(r - w)/n and
+    every omega gap (s - u) - (r - w)/n, so the balance polynomial is linear.
 
-    Cross-checked against the generic solver on the mapped table; a
-    disagreement beyond 1e-12 would mean a mapping bug.
+    Cross-checked against the generic solver on the mapped table or ladder;
+    a disagreement beyond 1e-12 would mean a mapping bug.
     """
-    from .nplayer import balanced_p3
+    from .nplayer import balanced_p3, balanced_pn
 
     if spec.n == 2:
         solved = balanced_p(diner_table2(spec))
-        p = 2.0 - 2.0 / spec.r_cb
     elif spec.n == 3:
         solved = balanced_p3(diner_table3(spec))
-        p = 2.0 - 3.0 / spec.r_cb
     else:
-        raise DomainError("closed forms exist only for n in {2, 3}; see diner_conjecture_test")
+        solved = balanced_pn(diner_ladder(spec), spec.n)
+    p = 2.0 - spec.n / spec.r_cb
     if abs(p - solved.p) > 1e-12:
         raise InternalError(
             f"closed form {p!r} and generic solver {solved.p!r} disagree beyond 1e-12"
@@ -290,7 +282,8 @@ def diner_p(spec: DinerSpec) -> Estimate:
 
 
 def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
-    """Compare the generic n-diner solve against the candidate form 2 - n/R_cb.
+    """Compare the generic n-diner solve against 2 - n/R_cb, the closed
+    form that :func:`diner_p` answers with.
 
     Reports the numbers; asserts nothing. Valid for n >= 2 and
     n/2 < R_cb < n (the strict-ladder domain).

@@ -141,7 +141,7 @@ def _cmd_classify(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
     from .estimators import balanced_p, maximin_alt_p, maximin_p, payoff_max_p
-    from .tables import NumericPolicy, PayoffTable2, classify2
+    from .tables import PayoffTable2, classify2
 
     values = _parse_table_values(args.table, 4, "--table")
     table = PayoffTable2(*values)
@@ -177,9 +177,7 @@ def _cmd_estimate(args) -> tuple[dict, dict, list[str]]:
         p0 = _parse_number(args.p0, "--p0")
         inputs["p0"] = p0
         cls = classify2(table)
-        tol = args.policy_tol
-        policy = NumericPolicy() if tol is None else NumericPolicy(fp_tol=_parse_number(tol, "--policy-tol"))
-        trace = iterate2(table, p0, policy)
+        trace = iterate2(table, p0)
         payload = {
             "method": "oracle",
             "p": trace.limit,
@@ -370,7 +368,7 @@ def _flatten(prefix: str, value, out: list[tuple[str, object]]) -> None:
 def _is_probability_key(key: str) -> bool:
     """Keys whose values read naturally as percentages in text mode."""
     leaf = key.rsplit(".", 1)[-1]
-    if leaf in ("p", "q", "p_star", "p_x", "p_y", "p_computed", "p_solver", "p_conjecture"):
+    if leaf in ("p", "q", "p_star", "p_computed", "p_solver", "p_conjecture"):
         return True
     parent = key.split(".")
     return len(parent) >= 2 and parent[-2] == "probabilities"
@@ -472,7 +470,6 @@ def build_parser() -> _Parser:
     p.add_argument("--table", required=True, help="a,b,c,d")
     p.add_argument("--method", choices=("balanced", "maximin", "payoff-max", "oracle"), default="balanced")
     p.add_argument("--p0", default="0.5", help="oracle starting point")
-    p.add_argument("--policy-tol", help="step tolerance of the oracle")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("estimate3", help="balanced estimate for a 3-player table", parents=[common])

@@ -435,7 +435,13 @@ def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[f
                 # even where h is at rounding level there
                 return b[0] if x == lo else b[-1] if x == hi else hfun(x)
 
-            roots.append(brentq(piece, lo, hi, xtol=1e-15, rtol=8.9e-16))
+            try:
+                # no absolute floor, so a root near 0 is refined to a few ulps
+                roots.append(brentq(piece, lo, hi, xtol=5e-324, rtol=8.9e-16))
+            except NoValidRootError:
+                # where h is flat near 0, Brent bisects down more binades
+                # than its 100 steps allow; a width of 1e-15 takes fewer
+                roots.append(brentq(piece, lo, hi, xtol=1e-15, rtol=8.9e-16))
         elif changes:
             mid = 0.5 * (lo + hi)
             if hi - lo < _ROOT_WIDTH:

@@ -1,4 +1,4 @@
-"""Core domain types: payoff tables, game classification, numeric policy.
+"""Core domain types: payoff tables, game classification, estimates.
 
 Two-player symmetric games are described by four payoffs seen from the row
 player: ``a`` (defect against a cooperator), ``b`` (mutual cooperation),
@@ -28,8 +28,6 @@ __all__ = [
     "PayoffTable2",
     "PayoffTable3",
     "AsymmetricTable2",
-    "NumericPolicy",
-    "DEFAULT_POLICY",
     "Estimate",
     "classify2",
     "classify3",
@@ -203,26 +201,6 @@ class AsymmetricTable2(_DictCodec):
     @classmethod
     def from_tables(cls, x: PayoffTable2, y: PayoffTable2) -> "AsymmetricTable2":
         return cls(x.a, x.b, x.c, x.d, y.a, y.b, y.c, y.d)
-
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Stop rule of the fixed-point oracles (``iterate2``, ``iterate3``,
-    ``iterate_asym``, ``iterate2_limits``, ``iterate3_limits``): a step of at
-    most ``fp_tol`` has converged, and ``fp_max_iter`` steps are the most
-    taken. No solver takes a policy (see ``nplayer._orbit_root``)."""
-
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 10**6
-
-    def __post_init__(self) -> None:
-        if not (self.fp_tol > 0 and isfinite(self.fp_tol)):
-            raise DomainError("fp_tol must be finite and positive")
-        if self.fp_max_iter < 1:
-            raise DomainError("fp_max_iter must be at least 1")
-
-
-DEFAULT_POLICY = NumericPolicy()
 
 
 @dataclass(frozen=True, init=False)

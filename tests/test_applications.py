@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,31 @@ def test_diner_ladder_solver_tracks_the_closed_form():
         rep = diner_conjecture_test(r_cb, 4)
         assert rep.p_conjecture == pytest.approx(2.0 - 4.0 / r_cb)
         assert abs(rep.gap) < 1e-12
+
+
+def _diner_spec(r_cb, n, number=float):
+    """A spec whose cost/benefit ratio is r_cb: w = 1 and s - u = 1."""
+    u = number(1) + (r_cb - 1) / 2
+    return DinerSpec(r=1 + r_cb, s=u + 1, u=u, w=number(1), n=n)
+
+
+def test_diner_p_answers_every_n_as_the_ladder_solver_does():
+    for n in range(2, 201):
+        for share in (0.55, 0.75, 0.95):
+            spec = _diner_spec(share * n, n)
+            assert abs(diner_p(spec).p - balanced_pn(diner_ladder(spec)).p) <= 1e-12, (n, share)
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_the_diner_closed_form_is_exact(n):
+    # every psi gap C_i - D_(i+2) and every omega gap D_(j+1) - C_j of the
+    # ladder is one number, so p = psi / (psi + omega) for every p
+    r_cb = Fraction(3, 4) * n
+    ladder = diner_ladder(_diner_spec(r_cb, n, Fraction))
+    d, c = ladder[0::2], ladder[1::2]  # d[i] = D_(i+1), c[i] = C_i
+    (psi,) = {c[i] - d[i + 1] for i in range(n - 1)}
+    (omega,) = {d[j] - c[j] for j in range(n)}
+    assert psi / (psi + omega) == 2 - n / r_cb
 
 
 def test_diner_conjecture_domain():
@@ -719,13 +745,11 @@ def test_attrition_dispatch_makes_no_per_pair_scalar_calls(monkeypatch):
 
 
 def test_attrition_dispatch_cli_is_the_per_pair_reference(capsys):
-    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001; --policy-tol,
-    # the oracle's step tolerance, is not a flag of this command
+    # gap 8 leaves the Chicken coefficient k = x - 8 = 0.001
     args = ["app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", "dispatch"]
     want = [float(f"{w:.12g}") for w in _dispatch_reference(AttritionSpec(x=8.001, max_bid=10))]
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["result"]["weights"] == want
-    assert main(args + ["--policy-tol", "1e-3"]) == 64
 
 
 def test_attrition_escalation_limit():

@@ -252,14 +252,6 @@ def test_global_flags_accepted_before_and_after_subcommand():
     # given in both places, the later flag wins
     both = run_cli("--format", "csv", "classify", "--table", "9,8,5,2", "--format", "text")
     assert both.returncode == 0 and both.stdout == text
-    oracle = ("estimate", "--table", "9,8,5,2", "--method", "oracle")
-    tight, loose = (run_cli(*oracle, "--policy-tol", tol).stdout for tol in ("1e-12", "1e-3"))
-    assert tight != loose
-    # --policy-tol is estimate's own flag: given twice the later wins, and
-    # before the subcommand name it is a usage error
-    assert run_cli(*oracle, "--policy-tol", "1e-3", "--policy-tol", "1e-12").stdout == tight
-    assert run_cli(*oracle, "--policy-tol", "1e-12", "--policy-tol", "1e-3").stdout == loose
-    assert run_cli("--policy-tol", "1e-3", *oracle).returncode == 64
 
 
 def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
@@ -275,12 +267,6 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ["classify", "--table", "9,8,5,2"],
         ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--p0", "0.25"],
         ["estimate", "--table", "9,8,5,2", "--method", "oracle"],
-        ["--policy-tol", "1e-3", "estimate", "--table", "9,8,5,2", "--method", "oracle"],
-        ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-3"],
-        ["estimate", "--table", "9,8,5,2", "--method", "oracle"],
-        ["estimate", "--table", "9,8,5,2", "--method", "oracle", "--policy-tol", "1e-12", "--policy-tol", "1e-3"],
-        ["estimate3", *table, "--policy-tol", "1e-3"],
-        ["estimate3", *table, "--policy-eps", "1e-2"],
         ["estimate3", "--table", "15.98,15.95,15.63,15.6,15.57,14.96"],
         ["estimate3", *table],
         [*traveler, "--mean"],
@@ -303,48 +289,6 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
     assert cli._parser() is cli._parser()
     # the sequence reaches a success, an ambiguous root and a usage error
     assert {code for code, _ in fresh} == {0, 3, 64}
-
-
-def test_policy_flags_change_the_numeric_policy(capsys, tmp_path):
-    # --policy-tol sets the step tolerance of the oracle and belongs to
-    # estimate alone; no solver reads a tolerance, and --policy-eps is gone
-    oracle = ("estimate", "--table", "9,8,5,2", "--method", "oracle")
-    loose = run_json(*oracle, "--policy-tol", "1e-3")["result"]
-    tight = run_json(*oracle)["result"]
-    assert loose["iterations_used"] < tight["iterations_used"]
-    assert loose["p"] == pytest.approx(tight["p"], abs=1e-3)
-    assert main(["estimate3", "--table", "39,38,28,27,26,1", "--policy-eps", "1e-2"]) == 64
-    assert "unrecognized arguments: --policy-eps" in capsys.readouterr().err
-    (tmp_path / "tables.json").write_text(json.dumps([{
-        "name": "trio", "players": 3, "table": dict(zip("fghjkm", (39, 38, 28, 27, 26, 1))),
-        "target": {"p": 0.07, "mu": 1.0, "p_tol": 0.01, "mu_tol": 0.05},
-    }]))
-    commands = [
-        ("classify", "--table", "9,8,5,2"),
-        *[("estimate", "--table", "9,8,5,2", "--method", m) for m in ("balanced", "maximin", "payoff-max")],
-        ("estimate3", "--table", "39,38,28,27,26,1"),  # two attracting roots: the orbit runs
-        ("asym", "--table", "10,7,5,1,9,8,5,2"),
-        ("equiprob", "--table", "9,8,5,2"),
-        ("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"),
-        ("app", "traveler", "--max", "100", "--min", "2", "--bonus", "2", "--steps", "98", "--mean"),
-        *[("app", "attrition", "--x", "8.001", "--max-bid", "10", "--mode", m) for m in ("paper", "dispatch")],
-        *[("app", "diner", "--r", r, "--s", "3.5", "--u", "1.5", "--w", "1", "--n", n)
-          for r, n in (("4", "2"), ("5", "3"), ("8", "5"))],
-        ("verify", "--file", str(tmp_path / "tables.json")),
-    ]
-    for command in commands:
-        if command[0] == "estimate":
-            outs = []
-            for extra in (["--policy-tol", "1e-3"], []):
-                assert main([*command, *extra]) == 0, command
-                outs.append(capsys.readouterr().out)
-            assert outs[0] == outs[1], command
-        else:
-            assert main([*command, "--policy-tol", "1e-3"]) == 64, command
-            assert "unrecognized arguments: --policy-tol" in capsys.readouterr().err
-            assert main(list(command)) == 0, command
-            capsys.readouterr()
-    assert main(["classify", "--table", "9,8,5,2", "--policy-tol", "abc"]) == 64
 
 
 # ------------------------------------------------------------- exit codes

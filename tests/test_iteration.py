@@ -9,7 +9,6 @@ from cooprob import (
     DegenerateWeightsError,
     DomainError,
     GameTag,
-    NumericPolicy,
     PayoffTable2,
     PayoffTable3,
     balanced_p,
@@ -18,6 +17,7 @@ from cooprob import (
     AsymmetricTable2,
     UnsupportedClassError,
 )
+from cooprob import iteration
 from cooprob.iteration import iterate2_limits, iterate3, iterate3_limits
 
 
@@ -85,19 +85,47 @@ def test_iterate3_known_limits():
     )
 
 
-def test_iterate3_budget_runs_out_on_a_two_cycle():
+def test_iterate3_budget_runs_out_on_a_two_cycle(monkeypatch):
     # the only root (0.6404) has map slope -1.27, so iteration from 0.5
     # drifts into a 2-cycle and stops at the budget without converging
     t = PayoffTable3(95, 68, 67, 66, 10, 9)
-    policy = NumericPolicy(fp_max_iter=100)
-    trace = iterate3(t, 0.5, policy)
+    trace = iterate3(t, 0.5)
     assert not trace.converged
-    assert trace.iterations_used == 100
-    assert len(trace.iterates) == 101
+    assert trace.iterations_used == 10**6
+    assert len(trace.iterates) == 10**6 + 1
     assert trace.limit == pytest.approx(0.07865111708877408, abs=1e-15)
-    limits, converged = iterate3_limits(*(np.array([v]) for v in t.values()), policy=policy)
+    # a one-lane batch pays numpy's per-call cost at every step, so it runs
+    # an even budget of 100 steps, which ends on the same point of the cycle
+    monkeypatch.setattr(iteration, "_MAX_STEPS", 100)
+    limits, converged = iterate3_limits(*(np.array([v]) for v in t.values()))
     assert not converged[0]
     assert limits[0] == pytest.approx(0.07865111708877408, abs=1e-15)
+
+
+def test_the_stop_rule_is_relative_to_the_iterate():
+    # an absolute step of 1e-12 stopped this run after 2 rounds at
+    # (5.6e-93, 8.3e-202), far from its fixed point
+    table = AsymmetricTable2(2.67e198, 3, -3.79e-198, -6.81e-127, 8.70e293, 2, -2, -1.98e106)
+    trace = iterate_asym(table)
+    assert trace.converged
+    px, py = trace.limit
+    assert px == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert py == pytest.approx(4.597701149425287e-294, rel=1e-15, abs=0.0)
+
+
+def test_the_batch_oracles_stop_on_the_scalar_rule():
+    # the absolute rule stopped the first at 1e-13 after 2 steps and the
+    # second at 7.7e-14 after 19
+    pd = (1.0, 1e-26, 0.0, -1e-13)
+    chain = (3.0, 2.0, 1.0, 1e-20, 0.0, -5.0)
+    runs = [
+        (iterate2(PayoffTable2(*pd)), iterate2_limits(GameTag.PRISONERS_DILEMMA, *([v] for v in pd)),
+         (math.sqrt(5.0) - 1.0) / 2.0 * 1e-13),
+        (iterate3(PayoffTable3(*chain)), iterate3_limits(*([v] for v in chain)), 2.5e-21),
+    ]
+    for trace, (limits, converged), p in runs:
+        assert trace.converged and converged[0]
+        assert limits[0] == trace.limit == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 def test_iterate3_degenerate_weights_raise():

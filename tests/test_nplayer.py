@@ -636,16 +636,20 @@ def test_the_orbit_settles_a_slowly_attracting_root(ladder, p):
 @pytest.mark.parametrize(
     "chain, roots",
     [
-        ((15.98, 15.95, 15.63, 15.6, 15.57, 14.96), (0.11717925325560831, 0.5000000000000105, 0.8828207467443815)),
-        ((9, 9, 8, 8, 8, 6), (0.0, 0.5, 1.0)),
+        # the roots of h to 40 digits (mpmath.polyroots)
+        ((15.98, 15.95, 15.63, 15.6, 15.57, 14.96),
+         ("0.1171792532556080589539692072316366042681", "0.5000000000000104491578788251162856952780",
+          "0.8828207467443814918881519676520777004539")),
+        ((9, 9, 8, 8, 8, 6), ("0", "0.5", "1")),
     ],
 )
 def test_an_orbit_seeded_on_a_repelling_root_raises_naming_it(chain, roots):
     # two attracting roots around a repelling one at 1/2, where the orbit
     # starts and stays; no tie-break is made
-    with pytest.raises(AmbiguousRootError, match=f"reaches the repelling root {roots[1]!r} ") as info:
+    with pytest.raises(AmbiguousRootError) as info:
         balanced_p3(PayoffTable3(*chain))
-    assert info.value.candidates == roots
+    _assert_within_ulps(info.value.candidates, [Fraction(r) for r in roots])
+    assert f"reaches the repelling root {info.value.candidates[1]!r} " in str(info.value)
 
 
 def test_an_orbit_that_reaches_no_root_raises_after_its_budget():
@@ -714,6 +718,42 @@ def _mp_side_h(mp, own, other):
     s0, s1 = (b - c) * (b2 - d2), (b - c) * (a2 - c2)
     w0, w1 = (b2 - c2) * (a - b) + (c2 - d2) * (c - d), (b2 - c2) * (a - b) + (a2 - b2) * (c - d)
     return [-s0, w0 + 2 * s0 - s1, (w1 - w0) + (s1 - s0)]
+
+
+# each reported root lies within this many ulps of the exact root of the
+# table's balance polynomial: Brent's method stops within a few ulps of
+# where h changes sign in floats, and forming the weights and evaluating h
+# in floats move that point by the rest
+ROOT_ULPS = 16
+
+
+def _assert_within_ulps(got, want):
+    """``got`` are floats and ``want`` exact (Fraction or mpf) roots, in order."""
+    assert len(got) == len(want), (got, want)
+    for x, ref in zip(got, want):
+        assert abs(x - ref) <= ROOT_ULPS * math.ulp(float(ref)), (got, want)
+
+
+def test_ladder_roots_lie_within_a_few_ulps_of_the_exact_roots():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    # the last has its root at 2.5e-21, where Brent's method stopped by an
+    # absolute tolerance of 1e-15 answered 0.0
+    ladders = [_ladder(rng, n) for n in range(3, 13) for _ in range(10)] + [[3, 2, 1, 1e-20, 0, -5]]
+    with mp.workdps(40):
+        for ladder in ladders:
+            roots = balanced_pn(ladder).roots
+            h = _mp_ladder_h(mp, ladder)[::-1]
+            # the 40-digit root of h beside each reported root, by mpmath's secant method
+            _assert_within_ulps(roots, [mp.findroot(lambda x: mp.polyval(h, x), mp.mpf(r)) for r in roots])
+
+
+def test_a_root_where_h_is_flat_near_0_is_still_found():
+    # h is about p^2 - 1e-200 near 0, so Brent's method would bisect about
+    # 330 binades down to the root 1e-100, past its 100 steps; it settles
+    # for a bracket 1e-15 wide
+    est = balanced_p3(PayoffTable3(3, 2, 1, 1e-200, 0, -1))
+    assert est.roots == (est.p,) and 0.0 <= est.p <= 1e-15
 
 
 def _assert_reports_the_unit_roots(est, want):

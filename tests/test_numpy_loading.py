@@ -132,7 +132,7 @@ def test_a_2x2_name_loads_only_tables_and_estimators():
 def test_every_public_name_is_the_owning_submodules_object():
     import cooprob
 
-    assert len(cooprob.__all__) == len(set(cooprob.__all__)) == 73
+    assert len(cooprob.__all__) == len(set(cooprob.__all__)) == 71
     for module, names in cooprob._EXPORTS.items():
         owner = importlib.import_module(f"cooprob.{module}")
         for name in names:
@@ -169,8 +169,7 @@ ARRAY_CALLS = {
     "estimators._balance_root2_batch": "np.array([1.0, 2.0]), np.array([2.0, 5.0]), np.array([3.0, 1.0]), np.array([4.0, 3.0])",
     "estimators._balanced_p_batch": "[9.0, 10.0], [8.0, 7.0], 5.0, [2.0, 1.0]",
     "iteration._fixed_point_batch": (
-        "iteration.weights3, tuple(np.array([v]) for v in (10.0, 8.0, 7.0, 5.0, 4.0, 2.0)), "
-        "np.array([0.5]), tables.DEFAULT_POLICY"
+        "iteration.weights3, tuple(np.array([v]) for v in (10.0, 8.0, 7.0, 5.0, 4.0, 2.0)), np.array([0.5])"
     ),
     "iteration.iterate2_limits": "tables.GameTag.STAG_HUNT, [8.0], [9.0], [5.0], [2.0], 1.0",
     "iteration.iterate3_limits": "[10.0], [8.0], [7.0], [5.0], [4.0], [2.0]",

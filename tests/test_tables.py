@@ -1,11 +1,12 @@
-"""Classification, table containers, and the numeric policy."""
+"""Classification, table containers, and the absence of a numeric policy."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import json
 import math
 
-import numpy as np
 import pytest
 
 from cooprob import (
@@ -14,7 +15,6 @@ from cooprob import (
     Estimate,
     GameTag,
     InvalidTableError,
-    NumericPolicy,
     PayoffTable2,
     PayoffTable3,
     attrition_distribution,
@@ -29,7 +29,6 @@ from cooprob import (
     diner_conjecture_test,
     diner_p,
     iterate2,
-    iterate_asym,
     payoff_scale,
     phi_chi,
     traveler_distribution,
@@ -37,9 +36,10 @@ from cooprob import (
     traveler_pij,
     verify_table,
 )
+import cooprob
+from cooprob.cli import main
 from cooprob.estimators import _balanced_p_batch
 from cooprob import iteration, nplayer
-from cooprob.iteration import iterate2_limits, iterate3, iterate3_limits
 
 
 @pytest.mark.parametrize(
@@ -131,50 +131,46 @@ def test_payoff_scale():
         payoff_scale((1e308, -1e308))
 
 
-def test_numeric_policy_defaults_and_validation():
-    policy = NumericPolicy()
-    assert [f.name for f in dataclasses.fields(NumericPolicy)] == ["fp_tol", "fp_max_iter"]
-    assert policy.fp_tol == 1e-12
-    assert policy.fp_max_iter == 10**6
-    with pytest.raises(DomainError):
-        NumericPolicy(fp_tol=-1.0)
-    with pytest.raises(DomainError):
-        NumericPolicy(fp_max_iter=0)
+# ------------------------------------------------ no function takes a policy
 
 
-# --------------------------------------------- which functions take a policy
-
-
-def _read_logged_policy() -> tuple[NumericPolicy, list[str]]:
-    """A default NumericPolicy, and the log of every later read of its fields."""
-    reads: list[str] = []
-
-    class ReadLog(NumericPolicy):
-        def __getattribute__(self, name):
-            if name in ("fp_tol", "fp_max_iter"):
-                reads.append(name)
-            return super().__getattribute__(name)
-
-    policy = ReadLog()
-    reads.clear()  # __post_init__ validates the fields
-    return policy, reads
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda policy: iterate2(PayoffTable2(9, 8, 5, 2), 0.5, policy),
-        lambda policy: iterate3(PayoffTable3(10, 8, 7, 5, 4, 2), 0.5, policy),
-        lambda policy: iterate_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2), 0.5, policy),
-        lambda policy: iterate2_limits(GameTag.PRISONERS_DILEMMA, *np.array([[9.0, 8.0, 5.0, 2.0]]).T, policy=policy),
-        lambda policy: iterate3_limits(*np.array([[10.0, 8.0, 7.0, 5.0, 4.0, 2.0]]).T, policy=policy),
-    ],
-    ids=["iterate2", "iterate3", "iterate_asym", "iterate2_limits", "iterate3_limits"],
-)
-def test_a_policy_parameter_is_read(call):
-    policy, reads = _read_logged_policy()
-    call(policy)
-    assert reads
+def test_no_public_callable_takes_a_policy_and_no_command_a_tolerance(capsys, tmp_path):
+    # the oracles stop on one fixed relative rule, and the solvers read no
+    # tolerance, so neither the library nor the CLI offers one
+    for name in ("NumericPolicy", "DEFAULT_POLICY"):
+        with pytest.raises(AttributeError):
+            getattr(cooprob, name)
+    for module, exported in cooprob._EXPORTS.items():
+        if module == "errors":  # exception classes, which take a message
+            continue
+        mod = importlib.import_module(f"cooprob.{module}")
+        for name in {*exported, *getattr(mod, "__all__", ())}:
+            fn = getattr(mod, name)
+            if callable(fn):
+                assert "policy" not in inspect.signature(fn).parameters, f"{module}.{name}"
+    (tmp_path / "tables.json").write_text(json.dumps([{
+        "name": "pd", "players": 2, "table": dict(zip("abcd", (9, 8, 5, 2))),
+        "target": {"p": 0.63, "mu": 1.0, "p_tol": 0.01, "mu_tol": 0.05},
+    }]))
+    commands = [
+        ("classify", "--table", "9,8,5,2"),
+        *[("estimate", "--table", "9,8,5,2", "--method", m) for m in ("balanced", "maximin", "payoff-max", "oracle")],
+        ("estimate3", "--table", "10,8,7,5,4,2"),
+        ("asym", "--table", "10,7,5,1,9,8,5,2"),
+        ("equiprob", "--table", "9,8,5,2"),
+        ("app", "diner", "--r", "4", "--s", "3.5", "--u", "1.5", "--w", "1", "--n", "2"),
+        ("app", "public-goods", "--r", "100", "--k", "1.5", "--options", "4"),
+        ("app", "traveler", "--max", "4", "--min", "2", "--bonus", "2", "--steps", "2"),
+        ("app", "attrition", "--x", "2", "--max-bid", "4"),
+        ("verify", "--file", str(tmp_path / "tables.json")),
+    ]
+    for command in commands:
+        assert main(list(command)) == 0, command
+        capsys.readouterr()
+        for flag in ("--policy-tol", "--policy-eps"):
+            for argv in ([*command, f"{flag}=1e-3"], [f"{flag}=1e-3", *command]):
+                assert main(argv) == 64, argv
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
 
 
 def test_no_solver_reads_a_tolerance():
