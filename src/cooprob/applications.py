@@ -15,7 +15,9 @@ Multi-option distributions weight each option by the summed pairwise
 cooperation/defection probabilities and normalize. The builders work on
 numpy arrays of per-gap probabilities and return read-only float64 arrays
 of per-option values; a payoff scale whose arithmetic overflows float64
-raises ``DomainError``.
+raises ``DomainError``. The traveler's gaps at or past the bonus cooperate
+with p = 1 and reach the summation as a count, whose prefix sums are
+written in about log2 N runs, bit for bit as adding the ones one by one.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class OptionDistribution:
             raise InternalError(f"distribution sums to {s!r}, not 1")
         if not (math.isfinite(float(weights.sum())) and math.isfinite(self.total)):
             raise InternalError("non-finite weight or total in distribution")
-        if (probs < 0.0).any():
+        # the sum above has refused NaN and empty arrays
+        if probs.min() < 0.0:
             raise InternalError("negative probability in distribution")
 
 
@@ -315,18 +318,20 @@ def _level_pair(i: int, j: int, top: int, what: str) -> tuple[int, int]:
     return hi, lo
 
 
-def _pairwise_distribution(p: np.ndarray, high_cooperates: bool) -> OptionDistribution:
+def _pairwise_distribution(p: np.ndarray, high_cooperates: bool, ones: int = 0) -> OptionDistribution:
     """The distribution over levels 0..n where, of two levels d apart, the
     higher one (if ``high_cooperates``, else the lower one) cooperates with
-    probability p[d - 1]. Each level collects p over the partners it
-    cooperates against and q over the others, summed in order of gap, and
-    the weights are normalised."""
+    probability p[d - 1], or 1 past the end of p: n = len(p) + ones. Each
+    level collects p over the partners it cooperates against and q over the
+    others, summed in order of gap (the ones by :func:`_add_ones`), and the
+    weights are normalised."""
     import numpy as np
 
-    n = len(p)
+    k = len(p)
+    n = k + ones
     cum = np.empty(n + 1)
     cum[0] = 0.0
-    np.cumsum(p, out=cum[1:])
+    np.cumsum(p, out=cum[1 : k + 1])
     # where the caller handed p over as a temporary, its buffer is freed
     # here, and the weights reuse it instead of taking fresh pages
     del p
@@ -335,10 +340,31 @@ def _pairwise_distribution(p: np.ndarray, high_cooperates: bool) -> OptionDistri
     # itself where the higher level cooperates and n minus it otherwise
     weights = np.arange(n, -1, -1, dtype=float) if high_cooperates else np.arange(n + 1, dtype=float)
     by_j = weights if high_cooperates else weights[::-1]
+    _add_ones(cum, k, by_j[::-1])
     np.subtract(by_j, cum[::-1], out=by_j)
     np.add(cum, by_j, out=by_j)
     total = float(weights.sum())
     return OptionDistribution._owning(np.divide(weights, total, out=cum), weights, total)
+
+
+def _add_ones(cum: np.ndarray, i: int, counts: np.ndarray) -> None:
+    """Write cum[i + j] = cum[i] + counts[j] for j = 1.., where counts[j] is
+    j, rounded as ``np.cumsum`` of ones rounds. Below 2^53 each +1 is exact
+    until the sum reaches the power of two P above x = cum[i], so one vector
+    add writes x + 1, ..., x + ceil(P - x), the last the same real sum as
+    cumsum's step into the next binade; the next run starts there."""
+    import numpy as np
+
+    while i + 1 < len(cum):
+        x = float(cum[i])
+        if not 0.0 <= x < 2.0**53:
+            cum[i + 1 :] = 1.0
+            np.cumsum(cum[i:], out=cum[i:])
+            return
+        # P - x is exact: x is 0 or lies in [P/2, P)
+        run = min(math.ceil(math.ldexp(1.0, math.frexp(x)[1]) - x), len(cum) - 1 - i)
+        np.add(x, counts[1 : run + 1], out=cum[i + 1 : i + 1 + run])
+        i += run
 
 
 # ---------------------------------------------------------- public goods
@@ -415,9 +441,11 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
     Below the bonus/step boundary (g = delta v < t) the pair is a dilemma and
     the positive quadratic branch p = 2 g / (g + t + sqrt((t - g)(t + 3 g)))
     applies, taken as g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), which
-    squares nothing and so neither overflows nor underflows; at or above it
-    the pair is coordination-flavored with (b-c)/(a-d) = delta v / (2t) >= 1/2,
-    which always selects full cooperation on the high claim. p is
+    squares nothing and so neither overflows nor underflows; above it the
+    pair is coordination-flavored with (b-c)/(a-d) = delta v / (2t) > 1/2,
+    which always selects full cooperation on the high claim. At g = t the
+    table has a = b and is unclassified (``balanced_p`` raises); it gets
+    p = 1, the dilemma branch's limit as g -> t and the coordination value. p is
     ill-conditioned in t - g near the boundary, so t - g is formed as
     (t steps - delta (r - s)) / steps, not from the rounded gap, where t steps
     has room in float64. DomainError where the largest pair payoff,
@@ -455,7 +483,9 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
 
 
 def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
-    """Probability that a balanced player keeps the higher of claims i, j."""
+    """Probability that a balanced player keeps the higher of claims i, j;
+    1.0 where their gap is the bonus, as at claims 1, 0 of
+    ``TravelerSpec(102, 2, 2, 50)``, whose table is unclassified."""
     import numpy as np
 
     hi, lo = _level_pair(i, j, spec.steps, "claim")
@@ -463,10 +493,19 @@ def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
 
 
 def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
-    """Distribution over claim levels 0..N by direct pairwise summation."""
+    """Distribution over claim levels 0..N by direct pairwise summation. Only
+    the dilemma gaps, d v < t, are solved; the others, the gap equal to the
+    bonus among them, cooperate with p = 1 and are passed as a count, whose
+    prefix sums :func:`_pairwise_distribution` writes in runs."""
     import numpy as np
 
-    return _pairwise_distribution(_traveler_p_by_delta(spec, np.arange(1, spec.steps + 1, dtype=float)), True)
+    n, v, t = spec.steps, spec.v, spec.t
+    # d v < t rounded implies d < t / v exactly, so ceil(t / v) bounds the
+    # dilemma gaps from above; the float test itself, monotone in d, trims it
+    k = math.ceil(min(t / v, n)) if v else n
+    while k and not k * v < t:
+        k -= 1
+    return _pairwise_distribution(_traveler_p_by_delta(spec, np.arange(1, k + 1, dtype=float)), True, n - k)
 
 
 def traveler_mean(spec: TravelerSpec) -> float:
@@ -519,8 +558,9 @@ def attrition_pij(spec: AttritionSpec, i: int, j: int, mode: str = "paper") -> f
 
     ``paper`` mode applies the dilemma branch formula uniformly:
     p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d), d = |i - j|. ``dispatch``
-    mode classifies the mapped table first; gaps above x/2 land in Chicken
-    and take that family's root instead.
+    mode classifies the gap's table ``attrition_table2(spec, d, 0)`` first;
+    gaps above x/2 land in Chicken and take that family's root instead.
+    Both depend on the gap alone, as :func:`attrition_distribution` does.
     """
     import numpy as np
 
@@ -528,7 +568,7 @@ def attrition_pij(spec: AttritionSpec, i: int, j: int, mode: str = "paper") -> f
     _check_attrition_mode(mode)
     if mode == "paper":
         return float(_attrition_paper_by_delta(spec, np.array([float(hi - lo)]))[0])
-    return balanced_p(attrition_table2(spec, i, j)).p
+    return balanced_p(attrition_table2(spec, hi - lo, 0)).p
 
 
 def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDistribution:

@@ -404,9 +404,11 @@ def _balance_root2_batch(s0, s1, w0, w1):
     rho = np.maximum(np.abs(h1), g)
     pos = h1 >= 0.0
     x = np.where(pos, s0, w1)
-    e = np.minimum(-np.frexp(rho)[1], 1000 - np.frexp(x)[1])
-    e[(_TINY < rho) & (rho < _HUGE) & (x < _HUGE)] = 0
-    hs, g, x = np.ldexp(h1, e), np.ldexp(g, e), np.ldexp(x, e)
+    hs, fit = h1, (_TINY < rho) & (rho < _HUGE) & (x < _HUGE)
+    if not fit.all():  # the rescale is by 2^0 on the rows that fit
+        e = np.minimum(-np.frexp(rho)[1], 1000 - np.frexp(x)[1])
+        e[fit] = 0
+        hs, g, x = np.ldexp(h1, e), np.ldexp(g, e), np.ldexp(x, e)
     r = np.sqrt(hs * hs + 4.0 * g * g)
     p = np.where(pos, 2.0 * x / (hs + r + 2.0 * x), (r - hs) / (r - hs + 2.0 * x))
     return np.where(rho == 0.0, np.where(s0 != 0.0, 1.0, 0.0), p), (rho == 0.0) & (s0 == w1)
@@ -433,7 +435,8 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
         # payoff_scale refuses an infinite payoff scale, and a wide one is
         # scaled by 1/8 before the weights are formed, as in balanced_p
         scale = payoffs.max(axis=0) - payoffs.min(axis=0)
-        weighed = np.where(scale > _WIDE_SCALE, payoffs * 0.125, payoffs)
+        wide = scale > _WIDE_SCALE
+        weighed = np.where(wide, payoffs * 0.125, payoffs) if wide.any() else payoffs
         # classify2's orderings are pairwise disjoint, so its precedence never decides
         for tag, order in (
             (GameTag.PRISONERS_DILEMMA, (a > b) & (b > c) & (c >= d)),

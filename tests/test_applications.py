@@ -19,6 +19,7 @@ from cooprob import (
     PublicGoodsSpec,
     TravelerSpec,
     UndefinedPairError,
+    UnsupportedClassError,
     attrition_distribution,
     attrition_pij,
     attrition_table2,
@@ -161,6 +162,24 @@ def test_traveler_builder_is_bit_identical_to_its_array_reference_at_the_branch_
     _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TravelerSpec(r=3.0, s=2.0, t=1.0, steps=1),  # one gap, the bonus itself
+        TravelerSpec(r=10.0, s=9.0, t=9.0, steps=REFERENCE_OPTIONS),  # every gap below the bonus
+        TravelerSpec(r=102.0, s=2.0, t=2.0, steps=50),  # the first gap is the bonus: no gap below it
+        TravelerSpec(r=3e-300, s=1e-300, t=1e-300, steps=REFERENCE_OPTIONS),  # a 1e-300 payoff scale
+        TravelerSpec(r=200.0, s=80.0, t=80.0, steps=10**6),  # Capra et al.'s claims at the benchmark's top size
+        TravelerSpec(5.029648233610368, 2.609292184507319, 1.6353757088534115, 37),  # 25 v < t only by rounding
+        # ceil(t / v) is exactly the number of gaps with d v < t, then two more than it
+        TravelerSpec(14.58667596828181, 6.742360414374557, 5.08762351988612, 1824),
+        TravelerSpec(10.222138052730529, 9.803912305975103, 0.07744921236211577, 108),
+    ],
+)
+def test_traveler_builder_is_bit_identical_to_its_array_reference_at_the_edges(spec):
+    _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
+
+
 @pytest.mark.parametrize("mode", ["paper", "dispatch"])
 @pytest.mark.parametrize("seed", range(2))
 def test_attrition_builder_is_bit_identical_to_its_array_reference(mode, seed):
@@ -169,6 +188,102 @@ def test_attrition_builder_is_bit_identical_to_its_array_reference(mode, seed):
     _assert_same_bits(attrition_distribution(spec, mode), _ref_attrition(spec, mode))
 
 
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    """The builders hand back (probabilities, weights, total) unchecked, so
+    that sums past any valid distribution can be compared too."""
+    monkeypatch.setattr(OptionDistribution, "_owning", classmethod(lambda cls, *arrays: arrays))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+ONES_CASES = [
+    (np.random.default_rng(0).uniform(size=40), 0),  # no gap of p = 1
+    (np.empty(0), 3000),  # every gap p = 1
+    (np.array([1e-300]), 5000),
+    (np.array([2.0**53 - 3]), 8),  # past 2^53 a + 1 is no longer exact
+    (np.array([2.0**52 - 0.5]), 4),  # the step to 2^52 is a tie, rounded to even
+    (np.random.default_rng(1).uniform(size=37), 10_000),  # fractional sums over nine binades
+    (np.random.default_rng(2).uniform(0.0, 1e-3, size=5), 70_000),
+]
+
+
+@pytest.mark.parametrize("high_cooperates", [True, False])
+@pytest.mark.parametrize("p, ones", ONES_CASES + [
+    # seeded draws: k gaps of p drawn on a scale 1e-300..1e15, then m ones
+    (rng.uniform(size=rng.integers(0, 50)) * 10.0 ** rng.uniform(-300, 15), int(rng.integers(0, 3000)))
+    for rng in map(np.random.default_rng, range(100, 120))
+])
+def test_a_count_of_ones_sums_as_the_ones_themselves(unchecked, p, ones, high_cooperates):
+    got = applications._pairwise_distribution(p.copy(), high_cooperates, ones)
+    want = applications._pairwise_distribution(np.concatenate([p, np.ones(ones)]), high_cooperates)
+    for mine, theirs in zip(got, want):
+        assert np.array_equal(_bits(mine), _bits(theirs))
+
+
+def _spy_on_the_gaps(monkeypatch):
+    """The (p, ones) of each _pairwise_distribution call, which runs as before."""
+    seen = []
+    real = applications._pairwise_distribution
+
+    def spy(p, high_cooperates, ones=0):
+        seen.append((p.copy(), ones))
+        return real(p, high_cooperates, ones)
+
+    monkeypatch.setattr(applications, "_pairwise_distribution", spy)
+    return seen
+
+
+def test_the_traveler_gap_equal_to_the_bonus_takes_the_dilemma_limit(monkeypatch):
+    spec = TravelerSpec(102, 2, 2, 50)  # v = t: gap 1 is the bonus
+    assert traveler_pij(spec, 1, 0) == 1.0
+    with pytest.raises(UnsupportedClassError):  # a = b: the pair table has no class
+        balanced_p(traveler_table2(spec, 1, 0))
+    # the dilemma form, and balanced_p on the dilemma table, at g = t (1 - 2^-52)
+    g = 2.0 * (1.0 - 2.0**-52)
+    dilemma = applications._traveler_p_by_delta(TravelerSpec(4, 2, 2, 2), np.array([g]))  # v = 1
+    assert abs(dilemma[0] - 1.0) < 1e-7
+    assert abs(balanced_p(PayoffTable2(2.0, g, 0.0, -2.0)).p - 1.0) < 1e-7
+    # the gap is passed in the count of ones, here and in the README's example at gap 2
+    seen = _spy_on_the_gaps(monkeypatch)
+    traveler_distribution(spec)
+    traveler_distribution(TravelerSpec(100, 2, 2, 98))
+    assert [(len(p), ones) for p, ones in seen] == [(0, 50), (1, 97)]
+
+
+@pytest.mark.parametrize(
+    "spec, pij, build",
+    [
+        (TravelerSpec(5.029648233610368, 2.609292184507319, 1.6353757088534115, 37), traveler_pij, traveler_distribution),
+        *[
+            (
+                AttritionSpec(8.001, 30),
+                lambda *pair, m=m: attrition_pij(*pair, m),
+                lambda spec, m=m: attrition_distribution(spec, m),
+            )
+            for m in ("paper", "dispatch")
+        ],
+    ],
+)
+def test_every_pair_gets_the_builders_p_of_its_gap_bit_for_bit(monkeypatch, spec, pij, build):
+    # dispatch mode solves the gap's table, not the translated one (x - lo,
+    # ...), whose rounding would move 92 of these 465 pairs
+    seen = _spy_on_the_gaps(monkeypatch)
+    build(spec)
+    ((p, ones),) = seen
+    by_gap = np.concatenate([p, np.ones(ones)])
+    pairs = [(i, j) for i in range(len(by_gap) + 1) for j in range(len(by_gap) + 1) if i != j]
+    got = [pij(spec, i, j) for i, j in pairs]
+    assert np.array_equal(_bits(got), _bits([by_gap[abs(i - j) - 1] for i, j in pairs]))
+
+
+def test_attrition_dispatch_depends_on_the_gap_alone():
+    spec = AttritionSpec(0.8019786751195999, 170)
+    assert attrition_pij(spec, 170, 161, "dispatch") == attrition_pij(spec, 9, 0, "dispatch") == 0.960402375516192
 
 
 def test_option_distribution_holds_read_only_float64_arrays():

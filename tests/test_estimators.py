@@ -201,6 +201,19 @@ def test_a_dilemma_past_the_square_of_its_gaps_is_answered():
     assert _balanced_p_batch(*rows.T)[1] == est.p
 
 
+def test_balanced_p_batch_rescales_a_wide_or_tiny_row_among_others_as_the_scalar_path():
+    # one table of each class; the 1/8 payoff scaling and the power-of-two
+    # rescale of the weights run only where some row needs them, and would
+    # change no bit elsewhere
+    plain = [(9.0, 8.0, 5.0, 2.0), (14.0, -1.0, -16.0, -5.0), (8.0, 9.0, 5.0, 2.0), (9.0, 2.0, 3.0, 5.0)]
+    plain.append((9.0, 3.0, 5.0, 2.0))
+    tiny = [tuple(v * 2.0**-1000 for v in row) for row in plain]  # weights below 2^-300
+    wide = [tuple(v * 2.0**1019 for v in row) for row in plain]  # payoff scales above 2^1020
+    for rows in (plain, tiny, wide, plain + tiny + wide, [plain[0], wide[1]]):
+        want = [balanced_p(PayoffTable2(*row)).p for row in rows]
+        assert np.array_equal(_bits(_balanced_p_batch(*np.array(rows).T)), _bits(want))
+
+
 # signed zeros, subnormals, +-1..3 and +-1e307, +-1.7e308
 EXTREME_GRID = [
     0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-310, -1e-310, 2.2250738585072009e-308,

@@ -187,6 +187,7 @@ ARRAY_CALLS = {
     "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
     "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",
     "applications._pairwise_distribution": "np.array([0.5, 0.25]), False",
+    "applications._add_ones": "np.array([0.0, 0.5, 0.0, 0.0]), 1, np.arange(4.0)",
     "_writer._packed": "['0.', '-0.000', 'e+16']",
     "_writer._writer_tables": "",
     "_writer._decimals": "np.array([0.5, -1e-7, 0.0, 999999999999.5])",
