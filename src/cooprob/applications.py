@@ -114,7 +114,7 @@ class PublicGoodsSpec:
 class TravelerSpec:
     """Claim game: claims run from s up to r in `steps` increments of
     v = (r - s) / steps; the lower claimant collects a bonus t and the
-    higher pays it. Requires r > s >= t > 0."""
+    higher pays it. Requires r > s >= t > 0 and v > 0 in float64."""
 
     r: float
     s: float
@@ -130,6 +130,8 @@ class TravelerSpec:
         if not self.s >= self.t:
             raise DomainError("traveler spec requires s >= t")
         _require_count("steps", self.steps, 1)
+        if not self.v > 0.0:
+            raise DomainError(f"traveler spec step (r - s) / steps underflows to 0 at steps={self.steps}")
 
     @property
     def v(self) -> float:
@@ -502,7 +504,7 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     n, v, t = spec.steps, spec.v, spec.t
     # d v < t rounded implies d < t / v exactly, so ceil(t / v) bounds the
     # dilemma gaps from above; the float test itself, monotone in d, trims it
-    k = math.ceil(min(t / v, n)) if v else n
+    k = math.ceil(min(t / v, n))
     while k and not k * v < t:
         k -= 1
     return _pairwise_distribution(_traveler_p_by_delta(spec, np.arange(1, k + 1, dtype=float)), True, n - k)

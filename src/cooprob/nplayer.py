@@ -2,7 +2,8 @@
 
 Every dilemma solver here goes through one balance core: psi and omega in
 Bernstein form, the roots of the balance polynomial in [0, 1] isolated by
-subdivision and refined by a port of Brent's method, and one root rule.
+subdivision and refined by Newton's method on its own coefficients,
+safeguarded by bisection, and one root rule.
 Three-player tables and n-player ladders hand it the ladder gaps. The
 two-sided (asymmetric) game hands it, per side, that side's map composed
 with the other side's, whose weights are affine in p. Every solver here
@@ -14,7 +15,9 @@ five 2x2 classes.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -189,6 +192,7 @@ def _validate_ladder(ladder, n: int | None) -> list[float]:
 _BRENT_MAXITER = 100
 
 
+# no solver calls this; kept because bench/tracing.py wraps it by name
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
 
@@ -248,10 +252,11 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise NoValidRootError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _binomials(m: int) -> list[float]:
-    """C(m, k) for k = 0..m as floats."""
+@functools.lru_cache(maxsize=64)
+def _binomials(m: int) -> tuple[float, ...]:
+    """C(m, k) for k = 0..m as floats, the rows last used kept."""
     try:
-        return [float(math.comb(m, k)) for k in range(m + 1)]
+        return tuple(float(math.comb(m, k)) for k in range(m + 1))
     except OverflowError:
         raise DomainError(f"binomial weights of degree {m} overflow float64") from None
 
@@ -325,6 +330,10 @@ def psi_omega_coeffs(ladder) -> tuple[np.ndarray, np.ndarray]:
 # a piece narrower than this whose coefficients still change sign holds one root
 _ROOT_WIDTH = 1e-12
 
+# :func:`_refine` stops after a step of at most this fraction of its
+# iterate, and gives up after this many steps
+_REFINE_STOP, _REFINE_BUDGET = 2.0**-52, 300
+
 # :func:`_orbit_root` reaches a root within this distance, or gives up after this many steps
 _ORBIT_REACH, _ORBIT_BUDGET = 1e-9, 10**6
 
@@ -397,51 +406,127 @@ def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attr
     raise AmbiguousRootError(msg, tuple(roots))
 
 
+def _h_coefficients(wpsi: list[float], womega: list[float]) -> list[float]:
+    """Coefficients H_0..H_d of h = p omega - q psi = q^d sum_k H_k t^k,
+    t = p / q, each one correctly rounded sum: H_k = W_{k-1} - S_k, less
+    S_{k-1} too where psi comes one degree below omega and is raised by the
+    factor p + q. ValueError where psi is neither degree."""
+    w = [0.0, *womega]
+    if len(wpsi) == len(womega):
+        return [a - b for a, b in zip(w, wpsi + [0.0], strict=True)]
+    s = wpsi + [0.0, 0.0]
+    return [math.fsum((a, -b, -c)) for a, b, c in zip(w, s, [0.0, *wpsi, 0.0], strict=True)]
+
+
+def _h_step(hk: list[float], x: float) -> tuple[float, float]:
+    """h at x up to a positive factor, and the Newton step -h / h' there.
+
+    With a = q and t = p / q at x <= 1/2 (a = p and t = q / p above), h is
+    a^d P(t) for the polynomial P of the coefficients H_k (in reverse above
+    1/2), and h' is a^(d-2) (P' - d a P) (its negative above 1/2). One
+    Horner pass gives P and P', and the step a^2 P / (P' - d a P) needs no
+    power of a.
+    """
+    deg = len(hk) - 1
+    if x <= 0.5:
+        a = 1.0 - x
+        t, coeffs, sign = x / a, reversed(hk), -1.0
+    else:
+        a = x
+        t, coeffs, sign = (1.0 - x) / x, hk, 1.0
+    f = g = 0.0
+    for c in coeffs:
+        g = g * t + f
+        f = f * t + c
+    den = g - deg * a * f
+    return f, (sign * a * a * f / den if den else math.inf)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """Midpoint of a bracket in [0, 1]: of the float64 bit patterns where it
+    spans binades, so that 64 halvings reach adjacent floats, else of the
+    values, which within a binade is the same point."""
+    if hi <= 2.0 * lo:
+        return 0.5 * (lo + hi)
+    bits = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    return struct.unpack("<d", struct.pack("<q", sum(bits) // 2))[0]
+
+
+def _refine(hk: list[float], b: list[float], lo: float, hi: float) -> float:
+    """The root of h in a piece [lo, hi] whose Bernstein coefficients ``b``
+    change sign once, by Newton's method safeguarded by bisection.
+
+    It starts where the control polygon of ``b`` crosses 0. The bracket
+    keeps the signs of the piece's own end coefficients, so it holds even
+    where h is at rounding level there. A Newton step that leaves the
+    bracket, or fails to halve the step before last (the rule of rtsafe,
+    Numerical Recipes 9.4), gives way to a bisection by :func:`_midpoint`.
+    Steps are measured relative to the iterate, so that Newton's method
+    halving its way down to a root near 0, a binade a step, counts as no
+    progress. It stops after a step of at most _REFINE_STOP of the iterate,
+    one or two ulps.
+    """
+    rising = b[0] < 0.0
+    j = 1
+    while b[j] != 0.0 and (b[j] < 0.0) == rising:
+        j += 1
+    x = lo + (hi - lo) * (j - 1 + b[j - 1] / (b[j - 1] - b[j])) / (len(b) - 1)
+    if not lo < x < hi:
+        x = _midpoint(lo, hi)
+    step = before = 1.0  # the relative sizes of the last two steps
+    for _ in range(_REFINE_BUDGET):
+        f, dx = _h_step(hk, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        new = x + dx
+        if abs(dx) <= _REFINE_STOP * x:
+            return new if lo <= new <= hi else x
+        if not (lo < new < hi and 2.0 * abs(dx) <= before * max(x, new)):
+            new = _midpoint(lo, hi)
+            dx = new - x
+            if abs(dx) <= _REFINE_STOP * x:
+                return new
+        before, step = step, abs(dx) / max(x, new)
+        x = new
+    raise NoValidRootError(f"Newton's method did not converge in {_REFINE_BUDGET} steps")
+
+
 def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[float]]:
     """Balanced p of weights psi and omega, and every root of
     h = p omega - q psi in [0, 1].
 
-    psi and omega come as weighted Bernstein coefficients C(m, k) b_k of one
-    degree m, all nonnegative, and :func:`_reduced` drops their common
-    factors. With t = p / q, h = q^(m+1) sum_k H_k t^k, H_k = W_{k-1} - S_k.
-    Degree 2 (m = 1, or m = 0 raised by the factor p + q) goes to
-    :func:`_balance_root_affine`. Otherwise halving [0, 1] by de
-    Casteljau isolates the roots: a piece whose coefficients change sign
-    once holds one, found by Brent's method; an exact zero at 0, 1 or a
-    split point is one. The choice among the roots follows the root rule
-    stated under :func:`balanced_p3`.
+    psi and omega come as weighted Bernstein coefficients C(m, k) b_k, all
+    nonnegative, omega of degree m and psi of degree m or m - 1, and
+    :func:`_reduced` drops their common factors. h has the coefficients of
+    :func:`_h_coefficients`; weights so large that h, h' or those sums could
+    overflow are first scaled down by a power of two. Degree 2 goes to
+    :func:`_balance_root_affine`. Otherwise halving [0, 1] by de Casteljau
+    isolates the roots: a piece whose coefficients change sign once holds
+    one, refined by :func:`_refine`; an exact zero at 0, 1 or a split point
+    is one. The choice among the roots follows the root rule stated under
+    :func:`balanced_p3`.
     """
     wpsi, womega = _reduced(wpsi, womega)
     if len(womega) <= 2:
-        return _balance_root_affine(wpsi, womega)
-
-    def weights(p: float) -> tuple[float, float]:
-        return _bernstein(wpsi, p), _bernstein(womega, p)
-
-    def hfun(p: float) -> float:
-        s, o = weights(p)
-        return p * o - (1.0 - p) * s
-
+        return _balance_root_affine(wpsi or [0.0], womega)
     deg = len(womega)
-    hw = [w - s for w, s in zip([0.0] + womega, wpsi + [0.0])]
+    # |h|, |h'| and every partial sum below are at most 6 (deg + 1)^2 times the largest weight
+    excess = math.frexp(max(wpsi + womega))[1] + (6 * (deg + 1) ** 2).bit_length() - 1023
+    if excess > 0:
+        wpsi = [math.ldexp(w, -excess) for w in wpsi]
+        womega = [math.ldexp(w, -excess) for w in womega]
+    hk = _h_coefficients(wpsi, womega)
     roots: list[float] = []
 
     def isolate(b: list[float], lo: float, hi: float) -> None:
         signs = [x > 0.0 for x in b if x != 0.0]
         changes = sum(s != t for s, t in zip(signs, signs[1:]))
         if changes == 1 and b[0] != 0.0 and b[-1] != 0.0:
-            def piece(x: float) -> float:
-                # the ends keep the piece's own values, so the bracket holds
-                # even where h is at rounding level there
-                return b[0] if x == lo else b[-1] if x == hi else hfun(x)
-
-            try:
-                # no absolute floor, so a root near 0 is refined to a few ulps
-                roots.append(brentq(piece, lo, hi, xtol=5e-324, rtol=8.9e-16))
-            except NoValidRootError:
-                # where h is flat near 0, Brent bisects down more binades
-                # than its 100 steps allow; a width of 1e-15 takes fewer
-                roots.append(brentq(piece, lo, hi, xtol=1e-15, rtol=8.9e-16))
+            roots.append(_refine(hk, b, lo, hi))
         elif changes:
             mid = 0.5 * (lo + hi)
             if hi - lo < _ROOT_WIDTH:
@@ -453,7 +538,7 @@ def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[f
                 roots.append(mid)
             isolate(right, mid, hi)
 
-    bern = [c / w for c, w in zip(hw, _binomials(deg))]
+    bern = [c / w for c, w in zip(hk, _binomials(deg))]
     roots += [0.0] if bern[0] == 0.0 else []
     isolate(bern, 0.0, 1.0)
     roots += [1.0] if bern[-1] == 0.0 else []
@@ -461,8 +546,10 @@ def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[f
         return roots[0], roots
 
     # at a root, g = psi / (psi + omega) has slope g' = 1 - h' / (psi + omega)
-    dh = [(k + 1) * b - (deg - k) * a for k, (a, b) in enumerate(zip(hw, hw[1:]))]
-    attracting = [r for r in roots if abs(1.0 - _bernstein(dh, r) / sum(weights(r))) < 1.0]
+    dh = [(k + 1) * b - (deg - k) * a for k, (a, b) in enumerate(zip(hk, hk[1:]))]
+    attracting = [
+        r for r in roots if abs(1.0 - _bernstein(dh, r) / (_bernstein(wpsi, r) + _bernstein(womega, r))) < 1.0
+    ]
     if len(attracting) == 1:
         return attracting[0], roots
     if attracting:
@@ -473,11 +560,10 @@ def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[f
 
 
 def _ladder_root(vals: list[float]) -> tuple[float, list[float]]:
-    """:func:`_balance_root` of a weakly decreasing dilemma ladder, psi raised
-    to omega's degree by the factor p + q = 1: S'_k = S_k + S_{k-1}."""
+    """:func:`_balance_root` of a weakly decreasing dilemma ladder, whose psi
+    is one degree below omega."""
     bpsi, bomega = _ladder_bernstein(vals)
-    wpsi = _weighted(bpsi)
-    return _balance_root([s + r for s, r in zip(wpsi + [0.0], [0.0] + wpsi)], _weighted(bomega))
+    return _balance_root(_weighted(bpsi), _weighted(bomega))
 
 
 def balanced_pn(ladder, n: int | None = None) -> Estimate:

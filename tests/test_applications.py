@@ -568,6 +568,13 @@ def test_traveler_spec_validation():
         TravelerSpec(r=4.0, s=2.0, t=2.0, steps=0)
 
 
+def test_traveler_spec_refuses_a_step_that_underflows_to_0():
+    # (r - s) / steps = 5e-324 / 3 rounds to 0, and every gap's p would be 0 / 0
+    with pytest.raises(DomainError, match="underflows to 0"):
+        TravelerSpec(r=1e-323, s=5e-324, t=5e-324, steps=3)
+    assert TravelerSpec(r=1e-323, s=5e-324, t=5e-324, steps=1).v == 5e-324
+
+
 @pytest.mark.parametrize(
     "build, field, least",
     [

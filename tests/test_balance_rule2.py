@@ -2,6 +2,7 @@
 and the subdivision path as references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -416,19 +417,75 @@ def test_the_degree_two_rule_is_the_subdivision_path():
         p, roots = nplayer._balance_root(wpsi, womega)
         assert p == _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
         p3, roots3 = nplayer._balance_root(_raised(wpsi), _raised(womega))
-        # Brent's method stops within 1e-15 + 8.9e-16 |p| of the root
+        # the refiner and the closed form each land within a few ulps of the root
         assert p3 == pytest.approx(p, rel=4e-15, abs=2e-15), (wpsi, womega)
         assert roots3 == pytest.approx(roots, rel=4e-15, abs=2e-15), (wpsi, womega)
 
 
-def test_the_core_solves_degree_two_without_subdivision(monkeypatch):
-    def no_brent(*args, **kwargs):
-        raise AssertionError("a degree-2 balance polynomial reached Brent's method")
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    monkeypatch.setattr(nplayer, "brentq", no_brent)
+
+def _exact_h(wpsi, womega):
+    """H_0..H_d of h = p omega - q psi = sum_k H_k p^k q^(d-k) in Fractions,
+    through the power form of each product rather than the core's sums."""
+
+    def power(w):  # sum_k w_k p^k q^(m-k) in powers of p
+        m, out = len(w) - 1, [Fraction(0)] * len(w)
+        for k, x in enumerate(w):
+            term = [Fraction(x)]
+            for factor in [[0, 1]] * k + [[1, -1]] * (m - k):
+                term = _poly_mul(term, factor)
+            out = [a + b for a, b in zip(out, term)]
+        return out
+
+    deg = len(womega)
+    qpsi = _poly_mul([1, -1], power(wpsi))
+    a = [x - y for x, y in zip([0, *power(womega)], qpsi + [0] * (deg + 1 - len(qpsi)))]
+    return [sum(math.comb(deg - j, k - j) * a[j] for j in range(k + 1)) for k in range(deg + 1)]
+
+
+def test_the_core_raises_psi_one_degree_below_omega():
+    # psi one degree short must reach every coefficient of h, and each H_k
+    # must be the exact sum rounded once: raising psi in floats first would
+    # round the -1e-20 of the table below away
+    rng = np.random.default_rng(8)
+    pairs = [(_raised(s), _raised(w)) for s, w in _weight_pairs()[-100:]]  # n = 2 ladders, degrees 1 and 2
+    pairs.append(([1e-20, 1.0], [1.0, 2.0, 1.0]))  # the table (3, 2, 1, 1e-20, 0, -1)
+    for _ in range(100):
+        bpsi, bomega = nplayer._ladder_bernstein(np.sort(rng.uniform(0.0, 10.0, 2 * int(rng.integers(3, 9))))[::-1].tolist())
+        pairs.append((nplayer._weighted(bpsi), nplayer._weighted(bomega)))
+    for wpsi, womega in pairs:
+        assert len(wpsi) == len(womega) - 1
+        exact = _exact_h(wpsi, womega)
+        assert nplayer._h_coefficients(wpsi, womega) == [float(c) for c in exact], (wpsi, womega)
+
+        def h(p):
+            return sum(c * p**k * (1 - p) ** (len(exact) - 1 - k) for k, c in enumerate(exact))
+
+        _, roots = nplayer._balance_root(wpsi, womega)
+        for r in roots:
+            if 0.0 < r < 1.0:  # the exact h changes sign within 4 ulps of each root
+                lo, hi = (Fraction(r) + k * Fraction(math.ulp(r)) for k in (-4, 4))
+                assert h(lo) * h(hi) <= 0, (wpsi, womega, r)
+    with pytest.raises(ValueError):
+        nplayer._h_coefficients([1.0], [1.0, 2.0, 1.0])
+
+
+def test_the_core_solves_degree_two_without_subdivision(monkeypatch):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("a degree-2 balance polynomial reached the root refiner")
+
+    monkeypatch.setattr(nplayer, "_refine", no_refine)
     assert balanced_pn([9, 8, 5, 2]).p == balanced_p(PayoffTable2(9, 8, 5, 2)).p
     px, py = balanced_p_asym(AsymmetricTable2(10, 7, 5, 1, 9, 8, 5, 2))
     assert 0.0 < px.p < 1.0 and 0.0 < py.p < 1.0
+    with pytest.raises(AssertionError, match="reached the root refiner"):  # a cubic does reach it
+        balanced_pn([10, 8, 7, 5, 4, 2])
 
 
 @pytest.mark.parametrize(

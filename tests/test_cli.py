@@ -306,6 +306,7 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("verify", "--file", "/nonexistent/tables.json"),
         ("app", "attrition", "--x", "0", "--max-bid", "3"),  # the prize must be positive
         ("app", "traveler", "--max", "1.7e308", "--min", "1e308", "--bonus", "1e308", "--steps", "3"),
+        ("app", "traveler", "--max", "1e-323", "--min", "5e-324", "--bonus", "5e-324", "--steps", "3"),  # v underflows
     ],
 )
 def test_validation_failures_exit_2(args):

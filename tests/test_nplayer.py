@@ -617,20 +617,23 @@ def _orbit_after(ladder, steps, bits=160):
 
 
 # two attracting roots each, the one that iteration from 1/2 reaches with map
-# slope -0.9998; a step tolerance of 1e-12 never stopped that orbit
+# slope -0.9998; a step tolerance of 1e-12 never stopped that orbit. Each
+# comes with that root to 50 digits (mpmath.findroot on the exact h).
 SLOW_ATTRACTING = [
-    ([128.64, 127.08, 126.4, 126.39, 56.08, 55.84, 47.0, 44.63, 43.84, 1.92, 1.9, 0.47], 0.9337273571569678),
-    ([81.73, 76.95, 76.69, 76.65, 49.1, 48.58, 48.49, 48.42, 47.83, 38.15, 37.76, 0.27], 0.8364788542690764),
+    ([128.64, 127.08, 126.4, 126.39, 56.08, 55.84, 47.0, 44.63, 43.84, 1.92, 1.9, 0.47],
+     "0.93372735715696778194284519486291473522565959104924"),
+    ([81.73, 76.95, 76.69, 76.65, 49.1, 48.58, 48.49, 48.42, 47.83, 38.15, 37.76, 0.27],
+     "0.83647885426907636833702967710247235992434707234795"),
 ]
 
 
-@pytest.mark.parametrize("ladder, p", SLOW_ATTRACTING)
-def test_the_orbit_settles_a_slowly_attracting_root(ladder, p):
+@pytest.mark.parametrize("ladder, root", SLOW_ATTRACTING)
+def test_the_orbit_settles_a_slowly_attracting_root(ladder, root):
     est = balanced_pn(ladder)
-    assert est.p == p and len(est.roots) == 3
+    assert abs(est.p - Fraction(root)) <= math.ulp(est.p) and len(est.roots) == 3
     assert sum(abs(_slope(ladder, r)) < 1.0 for r in est.roots) == 2
     # after 2e5 steps the exact orbit is within 1e-17 of its limit
-    assert abs(_orbit_after(ladder, 200_000) - Fraction(p)) <= 1e-12
+    assert abs(_orbit_after(ladder, 200_000) - Fraction(root)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -721,9 +724,9 @@ def _mp_side_h(mp, own, other):
 
 
 # each reported root lies within this many ulps of the exact root of the
-# table's balance polynomial: Brent's method stops within a few ulps of
-# where h changes sign in floats, and forming the weights and evaluating h
-# in floats move that point by the rest
+# table's balance polynomial: the refiner stops within a few ulps of where
+# h changes sign in floats, and forming the weights and evaluating h in
+# floats move that point by the rest
 ROOT_ULPS = 16
 
 
@@ -737,7 +740,7 @@ def _assert_within_ulps(got, want):
 def test_ladder_roots_lie_within_a_few_ulps_of_the_exact_roots():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(12)
-    # the last has its root at 2.5e-21, where Brent's method stopped by an
+    # the last has its root at 2.5e-21, where a refiner stopped by an
     # absolute tolerance of 1e-15 answered 0.0
     ladders = [_ladder(rng, n) for n in range(3, 13) for _ in range(10)] + [[3, 2, 1, 1e-20, 0, -5]]
     with mp.workdps(40):
@@ -748,12 +751,36 @@ def test_ladder_roots_lie_within_a_few_ulps_of_the_exact_roots():
             _assert_within_ulps(roots, [mp.findroot(lambda x: mp.polyval(h, x), mp.mpf(r)) for r in roots])
 
 
+def test_a_root_beside_a_double_root_near_0_keeps_its_digits():
+    # the table's float gaps give h = q^3 (t^2 - F)(1 + t) in t = p / q, with
+    # F = 1e-20: the root t = sqrt(F) sits beside the double root of t^2 at
+    # 0. Formed as p omega - q psi in floats, h is rounding noise there, so
+    # only h's own coefficients, each one rounded sum, resolve the root
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        t = mp.sqrt(mp.mpf(1e-20))
+        root = t / (1 + t)
+    est = balanced_p3(PayoffTable3(3, 2, 1, 1e-20, 0, -1))
+    assert est.roots == (est.p,)
+    _assert_within_ulps([est.p], [root])
+
+
 def test_a_root_where_h_is_flat_near_0_is_still_found():
-    # h is about p^2 - 1e-200 near 0, so Brent's method would bisect about
-    # 330 binades down to the root 1e-100, past its 100 steps; it settles
-    # for a bracket 1e-15 wide
+    # as above with F = 1e-200: h is about p^2 - 1e-200 near 0, and the root
+    # 1e-100 lies some 330 binades below the start. Newton's method alone
+    # would halve its way down, a binade a step; the bisection on the bit
+    # patterns halves the binades instead
     est = balanced_p3(PayoffTable3(3, 2, 1, 1e-200, 0, -1))
-    assert est.roots == (est.p,) and 0.0 <= est.p <= 1e-15
+    assert est.roots == (est.p,)
+    _assert_within_ulps([est.p], [Fraction(1e-100)])
+
+
+def test_the_refiner_reaches_a_root_near_0_in_few_steps(monkeypatch):
+    calls = []
+    step = nplayer._h_step
+    monkeypatch.setattr(nplayer, "_h_step", lambda hk, x: calls.append(x) or step(hk, x))
+    assert balanced_p3(PayoffTable3(3, 2, 1, 1e-200, 0, -1)).p == pytest.approx(1e-100, rel=1e-14)
+    assert len(calls) <= 64
 
 
 def _assert_reports_the_unit_roots(est, want):
