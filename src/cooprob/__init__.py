@@ -15,6 +15,9 @@ and is then bound in the package; ``cooprob.nplayer`` imports that module.
 So a 2x2 caller loads ``tables`` and ``estimators`` only. Only the functions
 that build arrays import numpy, each inside its own body, so importing the
 package and every scalar solver leave it unloaded.
+
+``_EXPORTS`` below is the one list of public names: the package's
+``__all__`` is sorted from it, and each submodule's ``__all__`` is its row.
 """
 
 __version__ = "0.1.0"

@@ -25,33 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import _EXPORTS
 from .errors import DomainError, InternalError, UndefinedPairError
 from .estimators import _balanced_p_batch, balanced_p
 from .tables import Estimate, PayoffTable2, PayoffTable3
 
-__all__ = [
-    "DinerSpec",
-    "PublicGoodsSpec",
-    "TravelerSpec",
-    "AttritionSpec",
-    "OptionDistribution",
-    "ConjectureReport",
-    "diner_table2",
-    "diner_table3",
-    "diner_ladder",
-    "diner_p",
-    "diner_conjecture_test",
-    "public_goods_p_star",
-    "public_goods_table2",
-    "public_goods_distribution",
-    "traveler_table2",
-    "traveler_pij",
-    "traveler_distribution",
-    "traveler_mean",
-    "attrition_table2",
-    "attrition_pij",
-    "attrition_distribution",
-]
+__all__ = _EXPORTS["applications"]
 
 
 def _require_positive_finite(name: str, value: float) -> float:
@@ -105,8 +84,7 @@ class PublicGoodsSpec:
 
     def __post_init__(self) -> None:
         _require_positive_finite("r", self.r)
-        if not (math.isfinite(self.k) and 1.0 < self.k < 2.0):
-            raise DomainError(f"multiplier k={self.k!r} must lie strictly between 1 and 2")
+        public_goods_p_star(self.k)  # checks 1 < k < 2
         _require_count("options", self.options, 1)
 
 

@@ -10,20 +10,13 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import _EXPORTS
 from .errors import CooprobError, DomainError, InvalidTableError, UnsupportedClassError
 from .estimators import _END_WEIGHTS, _balance2, _mu2
 from .nplayer import balanced_p3, expected_payoff3
 from .tables import GameClass, PayoffTable2, PayoffTable3, _class2, classify2
 
-__all__ = [
-    "BalanceTarget",
-    "VerificationReport",
-    "SearchResult",
-    "TableEntry",
-    "verify_table",
-    "balance_search",
-    "load_table_entries",
-]
+__all__ = _EXPORTS["balance"]
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,7 @@ _TABLE_CLASSES = {2: PayoffTable2, 3: PayoffTable3}
 def _entry_numbers(pos: int, what: str, data, cls) -> list[float]:
     """The values in ``data``, the table or target of entry ``pos``, of the
     fields of ``cls``, as floats; ``InvalidTableError`` names the entry and
-    the key of the first that is missing or not a number."""
+    the key of the first that is missing, not a number or past float64."""
     if not isinstance(data, dict):
         raise InvalidTableError(f"entry {pos}: {what} must be an object, got {type(data).__name__}")
     numbers = []
@@ -286,11 +279,13 @@ def _entry_numbers(pos: int, what: str, data, cls) -> list[float]:
             numbers.append(float(data[key]))
         except (TypeError, ValueError):
             raise InvalidTableError(f"entry {pos} {what} {key!r}: {data[key]!r} is not a number") from None
+        except OverflowError:
+            raise InvalidTableError(f"entry {pos} {what} {key!r}: the number overflows float64") from None
     return numbers
 
 
 def load_table_entries(source: str | Path) -> list[TableEntry]:
-    """Parse a tables file: a JSON array of
+    """Parse a tables file: UTF-8 text holding a JSON array of
     {"name", "players": 2|3, "table": {...}, "target": {p, mu, p_tol, mu_tol}}.
 
     Every field is checked: a malformed entry raises ``InvalidTableError``
@@ -299,10 +294,9 @@ def load_table_entries(source: str | Path) -> list[TableEntry]:
     """
     import json  # here, not at module level: importing cooprob loads no json
 
-    text = Path(source).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(source).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidTableError(f"tables file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidTableError("tables file must hold a JSON array")

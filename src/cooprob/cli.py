@@ -555,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidTableError, DomainError, UnsupportedClassError, UndefinedPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable tables file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -7,6 +7,10 @@ additionally derive from ``ValueError`` to stay friendly to generic code.
 
 from __future__ import annotations
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
+
 
 class CooprobError(Exception):
     """Base class for all cooprob errors."""

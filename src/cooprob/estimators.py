@@ -30,6 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import (
     AmbiguousRootError,
     CooprobError,
@@ -39,23 +40,7 @@ from .errors import (
 )
 from .tables import Estimate, GameTag, PayoffTable2, classify2, payoff_scale
 
-__all__ = [
-    "PhiChi",
-    "Leaning",
-    "EquiprobabilityReport",
-    "MaximinResult",
-    "BestResponseThreshold",
-    "Response",
-    "maximin_p",
-    "maximin_alt_p",
-    "payoff_max_p",
-    "best_response_threshold",
-    "best_response",
-    "phi_chi",
-    "balanced_p",
-    "equiprobability",
-    "expected_payoff2",
-]
+__all__ = _EXPORTS["estimators"]
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+from . import _EXPORTS
 from .errors import DegenerateWeightsError, DomainError, UnsupportedClassError
 from .estimators import weights2
 from .tables import AsymmetricTable2, GameTag, PayoffTable2, PayoffTable3, classify2
 
-__all__ = [
-    "IterationTrace",
-    "iterate2",
-    "iterate3",
-    "iterate_asym",
-    "iterate2_limits",
-    "iterate3_limits",
-]
+__all__ = _EXPORTS["iteration"]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Solvers beyond the symmetric two-player case.
 
-Every dilemma solver here goes through one balance core: psi and omega in
-Bernstein form, the roots of the balance polynomial in [0, 1] isolated by
+Every dilemma solver here goes through one entry into one balance core,
+``_balance_root``: psi and omega in Bernstein form, psi one degree below
+omega, the roots of the balance polynomial in [0, 1] isolated by
 subdivision and refined by Newton's method on its own coefficients,
 safeguarded by bisection, and one root rule.
 Three-player tables and n-player ladders hand it the ladder gaps. The
 two-sided (asymmetric) game hands it, per side, that side's map composed
-with the other side's, whose weights are affine in p. Every solver here
-reports as ``roots`` the balance roots in [0, 1] that the core found. A
-balance polynomial of degree 2, as there and for two-player ladders, goes
-to the closed form ``estimators._balance_root2``, which also solves the
-five 2x2 classes.
+with the other side's, whose weights are both affine in p. Every solver
+here reports as ``roots`` the balance roots in [0, 1] that the core found.
+A balance polynomial of degree at most 2, as there and for two-player
+ladders, closes in the quadratic rule ``estimators._balance_root2``, which
+also solves the five 2x2 classes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import (
     AmbiguousRootError,
     DegenerateWeightsError,
@@ -39,16 +41,7 @@ from .tables import (
     payoff_scale,
 )
 
-__all__ = [
-    "CubicCoefficients",
-    "cubic_coefficients",
-    "balanced_p3",
-    "equiprobability3",
-    "expected_payoff3",
-    "balanced_p_asym",
-    "psi_omega_coeffs",
-    "balanced_pn",
-]
+__all__ = _EXPORTS["nplayer"]
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ def balanced_p_asym(table: AsymmetricTable2) -> tuple[Estimate, Estimate]:
         f, cd = b - c, c - d
         pairs = (f, b2 - d2), (f, a2 - c2), (b2 - c2, a - b), (c2 - d2, cd), (a2 - b2, cd)
         psi0, psi1, fab, cd0, cd1 = _products(pairs)
-        p, roots = _balance_root_affine(*_reduced([psi0, psi1], [fab + cd0, fab + cd1]))
+        p, roots = _balance_root([psi0, psi1], [fab + cd0, fab + cd1])
         estimates.append(Estimate(p, "balanced", cls, roots=tuple(roots)))
     return estimates[0], estimates[1]
 
@@ -364,18 +357,6 @@ def _reduced(wpsi: list[float], womega: list[float]) -> tuple[list[float], list[
     return wpsi, womega
 
 
-def _balance_root_affine(wpsi: list[float], womega: list[float]) -> tuple[float, list[float]]:
-    """:func:`_balance_root` of reduced weights of degree at most 1, which
-    never iterates: degree 1 is raised to 2 by the factor p + q, and then
-    h has at most one root in (0, 1), besides 0 where psi vanishes and 1
-    where omega does, which :func:`estimators._balance_root2` picks from."""
-    p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
-    ends = {0.0} if wpsi[0] == 0.0 else set()
-    if womega[-1] == 0.0:
-        ends.add(1.0)
-    return p, sorted(ends | {p})
-
-
 def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attracting: list[float]) -> float:
     """The attracting root among ``roots`` that iteration of the map
     p <- psi / (psi + omega) from 1/2 reaches, psi and omega given by their
@@ -408,13 +389,10 @@ def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attr
 
 def _h_coefficients(wpsi: list[float], womega: list[float]) -> list[float]:
     """Coefficients H_0..H_d of h = p omega - q psi = q^d sum_k H_k t^k,
-    t = p / q, each one correctly rounded sum: H_k = W_{k-1} - S_k, less
-    S_{k-1} too where psi comes one degree below omega and is raised by the
-    factor p + q. ValueError where psi is neither degree."""
-    w = [0.0, *womega]
-    if len(wpsi) == len(womega):
-        return [a - b for a, b in zip(w, wpsi + [0.0], strict=True)]
-    s = wpsi + [0.0, 0.0]
+    t = p / q, for psi one degree below omega, raised by the factor p + q:
+    each H_k = W_{k-1} - S_k - S_{k-1} is one correctly rounded sum.
+    ValueError where psi is of another degree."""
+    w, s = [0.0, *womega], wpsi + [0.0, 0.0]
     return [math.fsum((a, -b, -c)) for a, b, c in zip(w, s, [0.0, *wpsi, 0.0], strict=True)]
 
 
@@ -500,19 +478,28 @@ def _balance_root(wpsi: list[float], womega: list[float]) -> tuple[float, list[f
     h = p omega - q psi in [0, 1].
 
     psi and omega come as weighted Bernstein coefficients C(m, k) b_k, all
-    nonnegative, omega of degree m and psi of degree m or m - 1, and
-    :func:`_reduced` drops their common factors. h has the coefficients of
-    :func:`_h_coefficients`; weights so large that h, h' or those sums could
-    overflow are first scaled down by a power of two. Degree 2 goes to
-    :func:`_balance_root_affine`. Otherwise halving [0, 1] by de Casteljau
-    isolates the roots: a piece whose coefficients change sign once holds
-    one, refined by :func:`_refine`; an exact zero at 0, 1 or a split point
-    is one. The choice among the roots follows the root rule stated under
+    nonnegative, psi one degree below omega (or both affine), and
+    :func:`_reduced` drops their common factors. Where what is left has h
+    of degree at most 2, as for two-player ladders and the two-sided game,
+    h has at most one root in (0, 1), besides 0 where psi vanishes and 1
+    where omega does, and the quadratic rule
+    :func:`estimators._balance_root2` picks from them without iterating.
+    Above that h has the coefficients of :func:`_h_coefficients`; weights
+    so large that h, h' or those sums could overflow are first scaled down
+    by a power of two. Halving [0, 1] by de Casteljau isolates the roots: a
+    piece whose coefficients change sign once holds one, refined by
+    :func:`_refine`; an exact zero at 0, 1 or a split point is one. The
+    choice among the roots follows the root rule stated under
     :func:`balanced_p3`.
     """
     wpsi, womega = _reduced(wpsi, womega)
     if len(womega) <= 2:
-        return _balance_root_affine(wpsi or [0.0], womega)
+        wpsi = wpsi or [0.0]
+        p = _balance_root2(wpsi[0], wpsi[-1], womega[0], womega[-1])
+        ends = {0.0} if wpsi[0] == 0.0 else set()
+        if womega[-1] == 0.0:
+            ends.add(1.0)
+        return p, sorted(ends | {p})
     deg = len(womega)
     # |h|, |h'| and every partial sum below are at most 6 (deg + 1)^2 times the largest weight
     excess = math.frexp(max(wpsi + womega))[1] + (6 * (deg + 1) ** 2).bit_length() - 1023

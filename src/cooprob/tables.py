@@ -20,19 +20,10 @@ import functools
 from dataclasses import astuple, dataclass, field, fields
 from math import isfinite
 
+from . import _EXPORTS
 from .errors import DomainError, InvalidTableError
 
-__all__ = [
-    "GameTag",
-    "GameClass",
-    "PayoffTable2",
-    "PayoffTable3",
-    "AsymmetricTable2",
-    "Estimate",
-    "classify2",
-    "classify3",
-    "payoff_scale",
-]
+__all__ = _EXPORTS["tables"]
 
 
 class GameTag(enum.Enum):

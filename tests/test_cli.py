@@ -304,15 +304,20 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("app", "diner", "--r", "4", "--s", "3.5", "--u", "2", "--w", "1"),  # R_cb = 2 = n
         ("app", "public-goods", "--r", "100", "--k", "2.5", "--options", "4"),
         ("verify", "--file", "/nonexistent/tables.json"),
+        ("verify", "--file", "{tmp}"),  # a directory
+        ("verify", "--file", "{tmp}/latin1.json"),  # text that is not UTF-8
+        ("verify", "--file", "{tmp}/huge.json"),  # a payoff past float64
         ("app", "attrition", "--x", "0", "--max-bid", "3"),  # the prize must be positive
         ("app", "traveler", "--max", "1.7e308", "--min", "1e308", "--bonus", "1e308", "--steps", "3"),
         ("app", "traveler", "--max", "1e-323", "--min", "5e-324", "--bonus", "5e-324", "--steps", "3"),  # v underflows
     ],
 )
-def test_validation_failures_exit_2(args):
-    proc = run_cli(*args)
+def test_validation_failures_exit_2(args, tmp_path):
+    (tmp_path / "latin1.json").write_bytes('[{"name": "café"}]'.encode("latin-1"))
+    (tmp_path / "huge.json").write_text(json.dumps([{**GOOD_ENTRY, "table": {**GOOD_ENTRY["table"], "a": 10**400}}]))
+    proc = run_cli(*(arg.format(tmp=tmp_path) for arg in args))
     assert proc.returncode == 2
-    assert proc.stderr.strip()
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stdout == ""
 
 
@@ -391,6 +396,8 @@ GOOD_ENTRY = {
     [
         ({"table": {**GOOD_ENTRY["table"], "b": "x"}}, "'b'"),  # a payoff that is no number
         ({"table": {**GOOD_ENTRY["table"], "b": None}}, "'b'"),
+        ({"table": {**GOOD_ENTRY["table"], "a": 10**400}}, "'a'"),  # past float64
+        ({"target": {**GOOD_ENTRY["target"], "mu": -(10**400)}}, "'mu'"),
         ({"target": {**GOOD_ENTRY["target"], "mu": "high"}}, "'mu'"),
         ({"target": {**GOOD_ENTRY["target"], "p_tol": None}}, "'p_tol'"),
         ({"players": "two"}, "players"),

@@ -140,6 +140,13 @@ def test_every_public_name_is_the_owning_submodules_object():
             assert getattr(cooprob, name).__module__ == owner.__name__, name  # defined there, not re-exported
 
 
+def test_each_submodules_all_is_its_row_of_the_export_table():
+    import cooprob
+
+    for module, names in cooprob._EXPORTS.items():
+        assert importlib.import_module(f"cooprob.{module}").__all__ is names, module
+
+
 def test_star_import_binds_every_public_name():
     proc = fresh_python("-c", "from cooprob import *; import cooprob; print(all(globals()[n] is getattr(cooprob, n) for n in cooprob.__all__))")
     assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
