@@ -23,11 +23,12 @@ written in about log2 N runs, bit for bit as adding the ones one by one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import _EXPORTS
 from .errors import DomainError, InternalError, UndefinedPairError
-from .estimators import _balanced_p_batch, balanced_p
+from .estimators import _balance_root2, _balance_root2_batch, _balanced_p_batch, balanced_p
 from .tables import Estimate, PayoffTable2, PayoffTable3
 
 __all__ = _EXPORTS["applications"]
@@ -40,9 +41,15 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+# the most options whose float64 arrays of options + 1 entries numpy can describe
+_MAX_COUNT = sys.maxsize // 8 - 1
+
+
 def _require_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise DomainError(f"{name} must be an int of at least {least}, got {value!r}")
+    if value > _MAX_COUNT:
+        raise DomainError(f"{name}={value} exceeds {_MAX_COUNT}, the most a float64 array can hold")
 
 
 @dataclass(frozen=True)
@@ -248,13 +255,14 @@ def diner_p(spec: DinerSpec) -> Estimate:
     Cross-checked against the generic solver on the mapped table or ladder;
     a disagreement beyond 1e-12 would mean a mapping bug.
     """
-    from .nplayer import balanced_p3, balanced_pn
+    from .nplayer import _binomials, balanced_p3, balanced_pn
 
     if spec.n == 2:
         solved = balanced_p(diner_table2(spec))
     elif spec.n == 3:
         solved = balanced_p3(diner_table3(spec))
     else:
+        _binomials(spec.n - 2)  # the core's refusal of an n past float64, before the ladder
         solved = balanced_pn(diner_ladder(spec), spec.n)
     p = 2.0 - spec.n / spec.r_cb
     if abs(p - solved.p) > 1e-12:
@@ -271,11 +279,12 @@ def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
     Reports the numbers; asserts nothing. Valid for n >= 2 and
     n/2 < R_cb < n (the strict-ladder domain).
     """
-    from .nplayer import balanced_pn
+    from .nplayer import _binomials, balanced_pn
 
     _require_count("n", n, 2)
     if not (n / 2.0 < r_cb < n):
         raise DomainError(f"R_cb={r_cb!r} outside the strict-ladder domain (n/2, n)")
+    _binomials(n - 2)  # the core's refusal of an n past float64, before the ladder
     # synthesize a spec realizing the requested ratio: scale cancels
     w = 1.0
     u = w + (r_cb - 1.0) / 2.0
@@ -415,21 +424,16 @@ def traveler_table2(spec: TravelerSpec, i: int, j: int) -> PayoffTable2:
 
 
 def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
-    """Pairwise cooperation probability as a function of the level gap, for
-    ascending ``deltas``.
-
-    Below the bonus/step boundary (g = delta v < t) the pair is a dilemma and
-    the positive quadratic branch p = 2 g / (g + t + sqrt((t - g)(t + 3 g)))
-    applies, taken as g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), which
-    squares nothing and so neither overflows nor underflows; above it the
-    pair is coordination-flavored with (b-c)/(a-d) = delta v / (2t) > 1/2,
-    which always selects full cooperation on the high claim. At g = t the
-    table has a = b and is unclassified (``balanced_p`` raises); it gets
-    p = 1, the dilemma branch's limit as g -> t and the coordination value. p is
-    ill-conditioned in t - g near the boundary, so t - g is formed as
-    (t steps - delta (r - s)) / steps, not from the rounded gap, where t steps
-    has room in float64. DomainError where the largest pair payoff,
-    s + (steps - 1) v + t, overflows float64.
+    """p of the dilemma gaps among ascending ``deltas``, those with
+    g = delta v < t, which form a prefix: the core's degree-2 rule on
+    psi = g q and omega = t - g, whose balance function p (t - g) - q^2 g is
+    the dilemma table's. The other gaps cooperate with p = 1: past the bonus
+    the pair table is coordination-flavored with (b-c)/(a-d) = delta v / (2t) > 1/2,
+    and at g = t it has a = b and no class (``balanced_p`` raises); 1 is the
+    dilemma's limit there. p is ill-conditioned in t - g near the bonus, so
+    t - g is formed as (t steps - delta (r - s)) / steps where t steps has room
+    in float64. DomainError where the largest pair payoff, s + (steps - 1) v + t,
+    overflows float64.
     """
     import numpy as np
 
@@ -437,7 +441,6 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
         raise DomainError(f"payoff scale of {spec!r} overflows float64")
     gap = deltas * spec.v
     t = spec.t
-    # the dilemma gaps, below t, are a prefix: the deltas ascend
     k = int(np.searchsorted(gap, t))
     g = gap[:k]
     if math.isfinite(2.0 * t * spec.steps):
@@ -448,18 +451,7 @@ def _traveler_p_by_delta(spec: TravelerSpec, deltas: np.ndarray) -> np.ndarray:
         np.maximum(tg, 0.0, out=tg)
     else:
         tg = t - g
-    np.sqrt(tg, out=tg)
-    # g / (g/2 + t/2 + sqrt(t - g) sqrt(t/4 + 3g/4)), written over the gaps
-    denominator = 0.75 * g
-    denominator += 0.25 * t
-    np.sqrt(denominator, out=denominator)
-    tg *= denominator
-    np.multiply(g, 0.5, out=denominator)
-    denominator += 0.5 * t
-    denominator += tg
-    np.divide(g, denominator, out=g)
-    gap[k:] = 1.0
-    return gap
+    return _balance_root2_batch(g, 0.0, tg, tg)[0]
 
 
 def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
@@ -469,7 +461,8 @@ def traveler_pij(spec: TravelerSpec, i: int, j: int) -> float:
     import numpy as np
 
     hi, lo = _level_pair(i, j, spec.steps, "claim")
-    return float(_traveler_p_by_delta(spec, np.array([float(hi - lo)]))[0])
+    p = _traveler_p_by_delta(spec, np.array([float(hi - lo)]))
+    return float(p[0]) if len(p) else 1.0
 
 
 def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
@@ -479,13 +472,11 @@ def traveler_distribution(spec: TravelerSpec) -> OptionDistribution:
     prefix sums :func:`_pairwise_distribution` writes in runs."""
     import numpy as np
 
-    n, v, t = spec.steps, spec.v, spec.t
-    # d v < t rounded implies d < t / v exactly, so ceil(t / v) bounds the
-    # dilemma gaps from above; the float test itself, monotone in d, trims it
-    k = math.ceil(min(t / v, n))
-    while k and not k * v < t:
-        k -= 1
-    return _pairwise_distribution(_traveler_p_by_delta(spec, np.arange(1, k + 1, dtype=float)), True, n - k)
+    n = spec.steps
+    # d v < t rounded implies d < t / v exactly, so no dilemma gap passes
+    # ceil(t / v); only that many are formed, not all n
+    p = _traveler_p_by_delta(spec, np.arange(1, math.ceil(min(spec.t / spec.v, n)) + 1, dtype=float))
+    return _pairwise_distribution(p, True, n - len(p))
 
 
 def traveler_mean(spec: TravelerSpec) -> float:
@@ -515,19 +506,6 @@ def attrition_table2(spec: AttritionSpec, i: int, j: int) -> PayoffTable2:
     return PayoffTable2(a=x - lo, b=x / 2.0 - lo, c=x / 2.0 - hi, d=float(-lo))
 
 
-def _attrition_paper_by_delta(spec: AttritionSpec, deltas: np.ndarray) -> np.ndarray:
-    """``paper`` mode's conceding probability as a function of the bid gap d:
-    p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d), taken as 2 d / (x/2 + hypot(x/2, 2 d)),
-    which neither cancels when x >> d nor overflows."""
-    import numpy as np
-
-    half = spec.x / 2.0
-    twice = 2.0 * deltas
-    denominator = np.hypot(half, twice)
-    denominator += half
-    return np.divide(twice, denominator, out=twice)
-
-
 def _check_attrition_mode(mode: str) -> None:
     if mode not in ("paper", "dispatch"):
         raise DomainError(f"mode must be 'paper' or 'dispatch', got {mode!r}")
@@ -536,18 +514,18 @@ def _check_attrition_mode(mode: str) -> None:
 def attrition_pij(spec: AttritionSpec, i: int, j: int, mode: str = "paper") -> float:
     """Probability of conceding (the lower bid) for the pair of levels i, j.
 
-    ``paper`` mode applies the dilemma branch formula uniformly:
-    p = (-x/2 + sqrt(x^2/4 + 4 d^2)) / (2 d), d = |i - j|. ``dispatch``
-    mode classifies the gap's table ``attrition_table2(spec, d, 0)`` first;
-    gaps above x/2 land in Chicken and take that family's root instead.
-    Both depend on the gap alone, as :func:`attrition_distribution` does.
+    ``paper`` mode applies the dilemma branch uniformly: p is the core's
+    degree-2 rule on psi = d (1 + p) and omega = x/2, d = |i - j|, the root
+    of d p^2 + (x/2) p - d in [0, 1]. ``dispatch`` mode classifies the gap's
+    table ``attrition_table2(spec, d, 0)`` first; gaps above x/2 land in
+    Chicken and take that family's root instead. Both depend on the gap
+    alone, as :func:`attrition_distribution` does.
     """
-    import numpy as np
-
     hi, lo = _level_pair(i, j, spec.max_bid, "bid")
     _check_attrition_mode(mode)
     if mode == "paper":
-        return float(_attrition_paper_by_delta(spec, np.array([float(hi - lo)]))[0])
+        d, half = float(hi - lo), spec.x / 2.0
+        return _balance_root2(d, 2.0 * d, half, half)
     return balanced_p(attrition_table2(spec, hi - lo, 0)).p
 
 
@@ -555,18 +533,22 @@ def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDi
     """Distribution over bid levels 0..N by direct pairwise summation.
 
     Cooperation means the lower bid, so a level collects p-weight from
-    higher partners and q-weight from lower ones. ``dispatch`` mode solves
-    the gap tables ``attrition_table2(spec, d, 0)``, d = 1..N, in one call
-    of the batch form of :func:`balanced_p`, which gives every gap the same
-    bits (and the same errors) as :func:`attrition_pij` does.
+    higher partners and q-weight from lower ones. Each mode solves the gaps
+    d = 1..N in one array call that gives every gap the same bits as
+    :func:`attrition_pij` does: ``paper`` mode the row-wise degree-2 rule,
+    ``dispatch`` mode the batch form of :func:`balanced_p` on the gap tables
+    ``attrition_table2(spec, d, 0)``, with the same errors.
     """
     import numpy as np
 
     _check_attrition_mode(mode)
     deltas = np.arange(1, spec.max_bid + 1, dtype=float)
+    x = spec.x
     if mode == "paper":
-        p = _attrition_paper_by_delta(spec, deltas)
+        # the kernel forms both of its quotients on every row; at x/2 = 0 the
+        # one it does not take is 0/0
+        with np.errstate(invalid="ignore"):
+            p = _balance_root2_batch(deltas, 2.0 * deltas, x / 2.0, x / 2.0)[0]
     else:
-        x = spec.x
         p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
     return _pairwise_distribution(p, False)

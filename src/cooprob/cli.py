@@ -87,16 +87,17 @@ def _parse_table_values(text: str, arity: int, what: str) -> tuple[float, ...]:
 def _round12(value):
     if isinstance(value, bool) or not isinstance(value, float):
         return value
-    if value == 0.0 or not math.isfinite(value):
-        return value
     return float(f"{value:.12g}")
 
 
 def _rounded(obj):
+    """The envelope with each float to 12 digits, a non-finite one as None (JSON null)."""
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return _round12(obj)
 
 
@@ -552,7 +553,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NoValidRootError, AmbiguousRootError, DegenerateWeightsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
-    except (InvalidTableError, DomainError, UnsupportedClassError, UndefinedPairError) as exc:
+    # MemoryError: an option count whose arrays this machine cannot hold
+    except (InvalidTableError, DomainError, UnsupportedClassError, UndefinedPairError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # an unreadable tables file

@@ -268,7 +268,9 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, flo
 def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
     """Balanced p of psi = s0 q + s1 p and omega = w0 q + w1 p, the four
     weights finite and nonnegative: the degree-2 case of the balance core
-    ``nplayer._balance_root``.
+    ``nplayer._balance_root``, which calls it, as do :func:`_balance2` and
+    paper-mode ``attrition_pij``; its row form :func:`_balance_root2_batch`
+    serves :func:`_balanced_p_batch` and the traveler's and attrition's builders.
 
     With t = p / q, h = p omega - q psi = q^2 (H0 + H1 t + H2 t^2), where
     H0 = -s0 <= 0, H1 = w0 - s1 and H2 = w1 >= 0. If s0 > 0 and w1 > 0, then

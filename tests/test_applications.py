@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from cooprob import (
     traveler_table2,
 )
 from cooprob import applications
-from cooprob.estimators import _balanced_p_batch
+from cooprob.estimators import _balance_root2, _balanced_p_batch
 from cooprob.cli import main
 
 
@@ -65,9 +67,11 @@ def _assert_matches_loop(dist, weights, total):
 # ------------------------------------------------------------ distribution
 
 
-# The builders' array bodies before they wrote into buffers of their own,
-# kept as references: the in-place passes take the same operations in the
-# same order, so every bit of their output must be the same.
+# References for the builders. Public goods is its array body before it
+# wrote into buffers of its own: the in-place passes take the same operations
+# in the same order, so every bit of the output must be the same. The
+# traveler and attrition in paper mode take each gap's p from the scalar
+# degree-2 rule, a code path apart from the batch kernel that the builders run.
 
 
 def _ref_public_goods(spec):
@@ -80,19 +84,25 @@ def _ref_public_goods(spec):
     return weights / total, weights, float(total)
 
 
+def _ref_traveler_weights(spec, d):
+    """(g, t - g) of gap d below the bonus t, t - g formed from the exact
+    spec; None from the bonus on."""
+    g, t = d * spec.v, spec.t
+    if not g < t:
+        return None
+    if math.isfinite(2.0 * t * spec.steps):
+        return g, max((t * spec.steps - d * (spec.r - spec.s)) / spec.steps, 0.0)
+    return g, t - g
+
+
 def _ref_traveler_p(spec, deltas):
-    gap = deltas * spec.v
-    t = spec.t
-    p = np.ones_like(gap)
-    pd = gap < t
-    if np.any(pd):
-        g = gap[pd]
-        if math.isfinite(2.0 * t * spec.steps):
-            tg = np.maximum((t * spec.steps - deltas[pd] * (spec.r - spec.s)) / spec.steps, 0.0)
-        else:
-            tg = t - g
-        p[pd] = g / (0.5 * g + 0.5 * t + np.sqrt(tg) * np.sqrt(0.25 * t + 0.75 * g))
-    return p
+    """p of each gap: 1 from the bonus on, and below it the scalar rule on
+    psi = g q and omega = t - g."""
+    p = []
+    for d in map(float, deltas):
+        weights = _ref_traveler_weights(spec, d)
+        p.append(1.0 if weights is None else _balance_root2(weights[0], 0.0, weights[1], weights[1]))
+    return np.array(p)
 
 
 def _ref_traveler(spec):
@@ -110,7 +120,7 @@ def _ref_attrition(spec, mode):
     deltas = np.arange(1, n + 1, dtype=float)
     if mode == "paper":
         half = spec.x / 2.0
-        p = 2.0 * deltas / (half + np.hypot(half, 2.0 * deltas))
+        p = np.array([_balance_root2(d, 2.0 * d, half, half) for d in deltas.tolist()])
     else:
         x = spec.x
         p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
@@ -157,25 +167,26 @@ def test_traveler_builder_is_bit_identical_to_its_array_reference(bonus):
 )
 def test_traveler_builder_is_bit_identical_to_its_array_reference_at_the_branch_ends(spec):
     deltas = np.arange(1, spec.steps + 1, dtype=float)
-    got = applications._traveler_p_by_delta(spec, deltas)
+    got = applications._traveler_p_by_delta(spec, deltas)  # the dilemma gaps, then p = 1
+    got = np.concatenate([got, np.ones(len(deltas) - len(got))])
     assert np.array_equal(got.view(np.uint64), _ref_traveler_p(spec, deltas).view(np.uint64))
     _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        TravelerSpec(r=3.0, s=2.0, t=1.0, steps=1),  # one gap, the bonus itself
-        TravelerSpec(r=10.0, s=9.0, t=9.0, steps=REFERENCE_OPTIONS),  # every gap below the bonus
-        TravelerSpec(r=102.0, s=2.0, t=2.0, steps=50),  # the first gap is the bonus: no gap below it
-        TravelerSpec(r=3e-300, s=1e-300, t=1e-300, steps=REFERENCE_OPTIONS),  # a 1e-300 payoff scale
-        TravelerSpec(r=200.0, s=80.0, t=80.0, steps=10**6),  # Capra et al.'s claims at the benchmark's top size
-        TravelerSpec(5.029648233610368, 2.609292184507319, 1.6353757088534115, 37),  # 25 v < t only by rounding
-        # ceil(t / v) is exactly the number of gaps with d v < t, then two more than it
-        TravelerSpec(14.58667596828181, 6.742360414374557, 5.08762351988612, 1824),
-        TravelerSpec(10.222138052730529, 9.803912305975103, 0.07744921236211577, 108),
-    ],
-)
+EDGE_TRAVELERS = [
+    TravelerSpec(r=3.0, s=2.0, t=1.0, steps=1),  # one gap, the bonus itself
+    TravelerSpec(r=10.0, s=9.0, t=9.0, steps=REFERENCE_OPTIONS),  # every gap below the bonus
+    TravelerSpec(r=102.0, s=2.0, t=2.0, steps=50),  # the first gap is the bonus: no gap below it
+    TravelerSpec(r=3e-300, s=1e-300, t=1e-300, steps=REFERENCE_OPTIONS),  # a 1e-300 payoff scale
+    TravelerSpec(r=200.0, s=80.0, t=80.0, steps=10**6),  # Capra et al.'s claims at the benchmark's top size
+    TravelerSpec(5.029648233610368, 2.609292184507319, 1.6353757088534115, 37),  # 25 v < t only by rounding
+    # ceil(t / v) is exactly the number of gaps with d v < t, then two more than it
+    TravelerSpec(14.58667596828181, 6.742360414374557, 5.08762351988612, 1824),
+    TravelerSpec(10.222138052730529, 9.803912305975103, 0.07744921236211577, 108),
+]
+
+
+@pytest.mark.parametrize("spec", EDGE_TRAVELERS)
 def test_traveler_builder_is_bit_identical_to_its_array_reference_at_the_edges(spec):
     _assert_same_bits(traveler_distribution(spec), _ref_traveler(spec))
 
@@ -391,6 +402,45 @@ def test_traveler_pij_is_the_high_precision_root(spec, gap):
     assert abs(traveler_pij(spec, gap, 0) - want) <= 1e-15 * want
 
 
+def _benchmark_shaped_travelers(seed, count):
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        s = float(rng.uniform(1.0, 10.0))
+        specs.append(TravelerSpec(s + float(rng.uniform(50, 500)), s, s * float(rng.uniform(0.1, 1.0)), int(rng.integers(10**5, 10**6 + 1))))
+    return specs
+
+
+def test_the_degree_2_rule_is_the_high_precision_root_over_the_applied_gaps():
+    # The traveler through the builders' batch path, over gaps 1..300, the last
+    # 50 and the 50 up to ceil(t / v), against the root on the float64 weights
+    # g and t - g that the builder forms. Near the bonus p is ill-conditioned in
+    # the spec itself: the float64 t - g can be 4e-12 off there, and a gap
+    # below the bonus by 1e-17 answers 1 where the root is 1 - 1e-8.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for spec in EDGE_TRAVELERS + _benchmark_shaped_travelers(30, 20):
+            n, top = spec.steps, min(spec.steps, math.ceil(spec.t / spec.v))
+            deltas = sorted({*range(1, min(300, n) + 1), *range(max(1, n - 49), n + 1), *range(max(1, top - 49), top + 1)})
+            got = applications._traveler_p_by_delta(spec, np.array(deltas, dtype=float)).tolist()
+            for d, p in zip(deltas, got + [1.0] * (len(deltas) - len(got))):
+                weights = _ref_traveler_weights(spec, float(d))
+                want = mpmath.mpf(1)
+                if weights is not None:
+                    g, tg = map(mpmath.mpf, weights)
+                    want = 2 * g / (tg + 2 * g + mpmath.sqrt(tg * (tg + 4 * g)))
+                worst = max(worst, float(abs(p - want) / want))
+        # attrition in paper mode: the root of d p^2 + (x/2) p - d in [0, 1]
+        for x in (0.01, 2.0, 7.3, 37.5, 1e9, 1e308, 1e-300):
+            spec = AttritionSpec(x=x, max_bid=300)
+            half = mpmath.mpf(x) / 2
+            for d in range(1, 301):
+                want = 2 * d / (half + mpmath.sqrt(half * half + 4 * d * d))
+                worst = max(worst, float(abs(attrition_pij(spec, d, 0) - want) / want))
+    assert worst <= 2e-15
+
+
 def test_a_gap_below_the_bonus_only_by_rounding_cooperates():
     # 25 v rounds below t, while the exact gap 25 (r - s) / 37 is not below it:
     # t - g, formed from the exact spec, is then clamped at 0, not square-rooted
@@ -497,6 +547,21 @@ def test_diner_conjecture_domain():
         diner_conjecture_test(2.5, 1)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda n: diner_p(DinerSpec(r=1.0 + 0.75 * n, s=3.0, u=2.0, w=1.0, n=n)),
+        lambda n: diner_conjecture_test(0.75 * n, n),
+    ],
+)
+def test_an_n_past_float64_is_refused_before_its_ladder_is_built(solve):
+    # the ladder of 2 n payoffs would take minutes to build at this n
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^binomial weights of degree 999999999998 overflow float64$"):
+        solve(10**12)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_diner_p_limits_monotone():
     # p -> 0 as R_cb -> 1+ and p -> 1 as R_cb -> 2- for two diners
     ratios = [1.001, 1.2, 1.5, 1.8, 1.999]
@@ -589,6 +654,22 @@ def test_spec_counts_must_be_ints_at_their_minimum(build, field, least):
     for value in (least - 1, least + 0.5, float(least), True, math.nan, math.inf, str(least), None, np.int64(least)):
         with pytest.raises(DomainError, match=f"^{field} must be an int of at least {least}, got "):
             build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: TravelerSpec(100.0, 2.0, 2.0, v),
+        lambda v: PublicGoodsSpec(100.0, 1.5, v),
+        lambda v: AttritionSpec(2.0, v),
+        lambda v: DinerSpec(r=4.0, s=3.0, u=2.0, w=1.0, n=v),
+    ],
+)
+def test_spec_counts_stop_where_a_float64_array_of_count_plus_1_cannot_be_described(build):
+    most = sys.maxsize // 8 - 1
+    build(most)
+    with pytest.raises(DomainError, match=f"={most + 1} exceeds {most}, the most a float64 array can hold$"):
+        build(most + 1)
 
 
 def test_traveler_pair_table_and_formula_agree():
@@ -752,7 +833,7 @@ def test_attrition_mode_validation(monkeypatch):
     def no_work(*args):
         raise AssertionError("the mode is checked before any gap is solved")
 
-    monkeypatch.setattr(applications, "_attrition_paper_by_delta", no_work)
+    monkeypatch.setattr(applications, "_balance_root2_batch", no_work)
     monkeypatch.setattr(applications, "_balanced_p_batch", no_work)
     with pytest.raises(DomainError, match="mode must be 'paper' or 'dispatch', got 'other'"):
         attrition_distribution(spec, mode="other")
@@ -803,9 +884,8 @@ def test_attrition_paper_mode_frozen_vector():
 def test_attrition_distribution_matches_the_loop_reference(x, max_bid):
     spec = AttritionSpec(x=x, max_bid=max_bid)
     gaps = range(1, max_bid + 1)
-    # paper mode's closed form, one gap at a time (np.hypot, since math.hypot
-    # rounds differently)
-    scalar = [2.0 * d / (x / 2.0 + float(np.hypot(x / 2.0, 2.0 * d))) for d in gaps]
+    # paper mode's scalar rule, one gap at a time: psi = d (1 + p), omega = x/2
+    scalar = [_balance_root2(float(d), 2.0 * d, x / 2.0, x / 2.0) for d in gaps]
     assert [attrition_pij(spec, d, 0) for d in gaps] == scalar
     weights = _loop_weights(scalar, False)
     _assert_matches_loop(attrition_distribution(spec), weights, float(np.sum(weights)))
@@ -831,6 +911,13 @@ def test_attrition_paper_mode_answers_a_prize_at_the_top_of_float64():
     assert [attrition_pij(spec, d, 0) for d in (1, 2, 3)] == pytest.approx([2e-308, 4e-308, 6e-308], rel=1e-15)
     dist = attrition_distribution(spec)
     assert dist.probabilities.tolist() == pytest.approx([2e-308, 1 / 6, 1 / 3, 1 / 2], rel=1e-15)
+
+
+def test_attrition_paper_mode_answers_the_least_prize_without_a_warning():
+    # x/2 rounds to 0: every gap concedes, and the batch kernel's unused form is 0/0
+    spec = AttritionSpec(x=5e-324, max_bid=3)
+    assert [attrition_pij(spec, d, 0) for d in (1, 2, 3)] == [1.0, 1.0, 1.0]
+    assert attrition_distribution(spec).weights.tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
 def _dispatch_reference(spec):

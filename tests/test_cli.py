@@ -356,6 +356,44 @@ def test_attrition_paper_mode_answers_a_prize_whose_square_overflows():
     assert env["result"]["probabilities"] == pytest.approx([2e-308, 1 / 6, 1 / 3, 1 / 2], rel=1e-11)
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize(
+    "args, path, want",
+    [
+        (["estimate", "--table=0,-5e-324,-1,-1"], ("roots",), [None, 1.0]),  # the other root is -inf
+        (["estimate", "--table=1e308,-1e308,-1e308,1e308", "--method", "maximin"], ("value", "alt_value"), None),  # NaN
+    ],
+)
+def test_a_non_finite_number_prints_as_null(args, path, want, capsys):
+    assert main(args) == 0
+    result = json.loads(capsys.readouterr().out, parse_constant=_no_constant)["result"]
+    for key in path:
+        assert result[key] == want
+    assert main([*args, "--format", "csv"]) == 0
+    assert f"result.{path[0]}{'.0' if want else ''},\n" in capsys.readouterr().out
+    assert main([*args, "--format", "text"]) == 0
+    assert f"{path[0]}{'.0' if want else ''} = None\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", [2**62, 2**50])  # past what numpy describes; past the address space
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["app", "public-goods", "--r", "1", "--k", "1.5", "--options"],
+        ["app", "attrition", "--x", "2", "--max-bid"],
+        ["app", "traveler", "--max", "3", "--min", "1", "--bonus", "0.5", "--steps"],
+    ],
+)
+def test_an_oversized_option_count_exits_2_on_one_line(args, count, capsys):
+    assert main([*args, str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_no_valid_root_exits_3():
     proc = run_cli("estimate3", "--table", "1,1,1,1,1,1")
     assert proc.returncode == 3

@@ -190,8 +190,6 @@ ARRAY_CALLS = {
     "applications._traveler_mean": (
         "applications.TravelerSpec(100, 2, 2, 98), applications.traveler_distribution(applications.TravelerSpec(100, 2, 2, 98))"
     ),
-    "applications._attrition_paper_by_delta": "applications.AttritionSpec(2.0, 4), np.array([1.0, 3.0])",
-    "applications.attrition_pij": "applications.AttritionSpec(2.0, 4), 3, 1",
     "applications.attrition_distribution": "applications.AttritionSpec(8.001, 10), 'dispatch'",
     "applications._pairwise_distribution": "np.array([0.5, 0.25]), False",
     "applications._add_ones": "np.array([0.0, 0.5, 0.0, 0.0]), 1, np.arange(4.0)",
