@@ -269,7 +269,7 @@ def diner_p(spec: DinerSpec) -> Estimate:
         raise InternalError(
             f"closed form {p!r} and generic solver {solved.p!r} disagree beyond 1e-12"
         )
-    return replace(solved, p=p)
+    return replace(solved, p=p, roots=(p,))
 
 
 def diner_conjecture_test(r_cb: float, n: int) -> ConjectureReport:
@@ -545,10 +545,7 @@ def attrition_distribution(spec: AttritionSpec, mode: str = "paper") -> OptionDi
     deltas = np.arange(1, spec.max_bid + 1, dtype=float)
     x = spec.x
     if mode == "paper":
-        # the kernel forms both of its quotients on every row; at x/2 = 0 the
-        # one it does not take is 0/0
-        with np.errstate(invalid="ignore"):
-            p = _balance_root2_batch(deltas, 2.0 * deltas, x / 2.0, x / 2.0)[0]
+        p = _balance_root2_batch(deltas, 2.0 * deltas, x / 2.0, x / 2.0)[0]
     else:
         p = _balanced_p_batch(x, x / 2.0, x / 2.0 - deltas, 0.0)
     return _pairwise_distribution(p, False)

@@ -234,35 +234,8 @@ def best_response(table: PayoffTable2, p2: float) -> Response:
     return Response.DEFECT
 
 
-# products of numbers between these bounds neither overflow nor underflow
+# the squares in _balance_root2 and its row form stay in range between these bounds
 _TINY, _HUGE = 2.0**-300, 2.0**300
-
-
-def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, float]:
-    """Both real roots of qa x^2 + qb x + qc, cancellation-safe, ascending.
-
-    Every caller's quadratic changes sign on [0, 1], so its roots are real,
-    and a negative discriminant is rounding at a double root: it counts as 0.
-    A root past float64's range is an infinity of its sign.
-    """
-    m = max(abs(qb), math.sqrt(abs(qa)) * math.sqrt(abs(qc)))  # the scale of t below
-    if not _TINY < m < _HUGE:
-        # scaling by a power of two is exact and brings m near 1, so qb^2 and
-        # qa qc stay in range and no root changes; the cap keeps qa and qc finite
-        e = min(-math.frexp(m)[1], 1020 - math.frexp(max(abs(qa), abs(qc)))[1])
-        qa, qb, qc = math.ldexp(qa, e), math.ldexp(qb, e), math.ldexp(qc, e)
-    s = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
-    if qb >= 0.0:
-        t = -(qb + s) / 2.0
-    else:
-        t = -(qb - s) / 2.0
-    if t == 0.0:
-        # both roots zero (qb = 0, disc = 0)
-        return (0.0, 0.0)
-    # the rescale can flush a subnormal qa to 0, where t / qa is past float64
-    r1 = t / qa if qa else math.copysign(math.inf, t * math.copysign(1.0, qa))
-    r2 = qc / t
-    return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
 def _balance_root2(s0: float, s1: float, w0: float, w1: float) -> float:
@@ -352,6 +325,25 @@ def _balance2(tag: GameTag, values):
     return _balance_root2(s0, s1, w0, w1), s0, s1, w0, w1
 
 
+def _roots2(p: float, s0: float, s1: float, w0: float, w1: float) -> tuple[float, ...]:
+    """Both real roots, ascending, of the balance quadratic k p^2 + B p - s0,
+    k = (w1 - w0) + (s1 - s0) and B = w0 + 2 s0 - s1 each an exact sum rounded
+    once, from its root p; (p,) where k is 0. The other root r is -B / k - p,
+    which carries only p's absolute error, except where r is the smaller root
+    and p is normal: there it is -s0 / (k p), from mantissas and exponents so
+    that nothing overflows or underflows before the last step. A zero root is +0.0.
+    """
+    k = math.fsum((w1, -w0, s1, -s0))
+    if not k:
+        return (p,)
+    r = -math.fsum((w0, s0, s0, -s1)) / k - p
+    if abs(r) < p and p >= 2.0**-1022:
+        (ms, es), (mk, ek), (mp, ep) = math.frexp(s0), math.frexp(k), math.frexp(p)
+        r = math.ldexp(-ms / (mk * mp), es - ek - ep)
+    r += 0.0
+    return (p, r) if p <= r else (r, p)
+
+
 def balanced_p(table: PayoffTable2) -> Estimate:
     """Balanced-player cooperation probability for a classified table.
 
@@ -363,22 +355,19 @@ def balanced_p(table: PayoffTable2) -> Estimate:
     quadratic; Stag Hunt gets p = 1 when (b-c)/(a-d) >= 1/2 and the interior
     attractor otherwise; Translators gets p = 0 (cooperation never pays).
 
-    ``roots`` lists both real roots of the balance quadratic in power form,
-    k p^2 + (w0 + 2 s0 - s1) p - s0 with k = (w1 - w0) + (s1 - s0), where
-    (s, w) are the weights at p = 0 and 1; where k is 0 it is (p,). A root
-    past float64's range is listed as an infinity of its sign: for
-    (0, -5e-324, -1e307, -1e307), p = 1 and the roots are (-inf, 1.0).
-    Unclassified tables raise UnsupportedClassError.
+    ``roots`` lists both real roots of the balance quadratic of the weights
+    (s, w) at p = 0 and 1, from :func:`_roots2`: p bit for bit and the other
+    by Vieta, or (p,) where the quadratic is linear. A root past float64's
+    range is an infinity of its sign: for (0, -5e-324, -1e307, -1e307), p = 1
+    and the roots are (-inf, 1.0). Unclassified tables raise UnsupportedClassError.
 
-    ``_balanced_p_batch`` mirrors this function row by row over arrays of
-    payoffs, bit for bit and with the same errors; a change here must be
+    ``_balanced_p_batch`` mirrors this function's p row by row over arrays
+    of payoffs, bit for bit and with the same errors; a change here must be
     made there too.
     """
     cls = classify2(table)
     p, s0, s1, w0, w1 = _balance2(cls.tag, table.values())
-    k = (w1 - w0) + (s1 - s0)
-    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0) if k else (p,)
-    return Estimate(p, "balanced", cls, roots=roots)
+    return Estimate(p, "balanced", cls, roots=_roots2(p, s0, s1, w0, w1))
 
 
 def _balance_root2_batch(s0, s1, w0, w1):
@@ -397,8 +386,10 @@ def _balance_root2_batch(s0, s1, w0, w1):
         e[fit] = 0
         hs, g, x = np.ldexp(h1, e), np.ldexp(g, e), np.ldexp(x, e)
     r = np.sqrt(hs * hs + 4.0 * g * g)
-    p = np.where(pos, 2.0 * x / (hs + r + 2.0 * x), (r - hs) / (r - hs + 2.0 * x))
-    return np.where(rho == 0.0, np.where(s0 != 0.0, 1.0, 0.0), p), (rho == 0.0) & (s0 == w1)
+    num = np.where(pos, 2.0 * x, r - hs)
+    p = np.where((rho == 0.0) & (s0 != 0.0), 1.0, 0.0)  # every row, and the answers where rho = 0
+    np.divide(num, num + np.where(pos, hs + r, 2.0 * x), out=p, where=rho != 0.0)
+    return p, (rho == 0.0) & (s0 == w1)
 
 
 def _balanced_p_batch(a, b, c, d) -> np.ndarray:
@@ -419,8 +410,8 @@ def _balanced_p_batch(a, b, c, d) -> np.ndarray:
     p = np.zeros(a.shape)
     fails = np.ones(a.shape, dtype=bool)  # until one of the classes claims the row
     with np.errstate(all="ignore"):
-        # payoff_scale refuses an infinite payoff scale, and a wide one is
-        # scaled by 1/8 before the weights are formed, as in balanced_p
+        # only rows whose payoff scale is not finite warn, and they are refused below;
+        # a wide scale has its payoffs scaled by 1/8 before the weights, as in balanced_p
         scale = payoffs.max(axis=0) - payoffs.min(axis=0)
         wide = scale > _WIDE_SCALE
         weighed = np.where(wide, payoffs * 0.125, payoffs) if wide.any() else payoffs

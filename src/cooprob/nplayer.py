@@ -365,7 +365,8 @@ def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attr
     The orbit stops at its first iterate within _ORBIT_REACH of a root. It
     looks only after a step of at most twice that, as every step that close
     to an attracting root is. AmbiguousRootError where the root reached
-    repels or where _ORBIT_BUDGET steps reach none.
+    repels, where the orbit stops at an exact fixed point near no root, or
+    where _ORBIT_BUDGET steps reach none.
     """
     p, look = 0.5, 2.0 * _ORBIT_REACH
     for _ in range(_ORBIT_BUDGET):
@@ -380,6 +381,9 @@ def _orbit_root(wpsi: list[float], womega: list[float], roots: list[float], attr
                 if near in attracting:
                     return near
                 why = f"reaches the repelling root {near!r}"
+                break
+            if p == prev:
+                why = f"stops at the fixed point {p!r}, near no root"
                 break
     else:
         why = f"reaches no root in {_ORBIT_BUDGET} steps"

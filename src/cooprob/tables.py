@@ -199,10 +199,10 @@ class Estimate:
     """A cooperation-probability estimate.
 
     ``q`` is derived from p: it reads ``1 - p``. ``roots`` carries the
-    balance roots, ascending. The n-player solvers list every root in [0, 1]
-    that the balance core found, p among them; ``balanced_p`` lists both
-    real roots of its quadratic, also those outside [0, 1], or (p,) where
-    the quadratic is linear.
+    balance roots, ascending, p among them bit for bit. The n-player solvers
+    list every root in [0, 1] that the balance core found; ``balanced_p``
+    lists both real roots of its quadratic, also one outside [0, 1], or (p,)
+    where the quadratic is linear, as it is for ``diner_p``.
     """
 
     p: float

@@ -914,7 +914,7 @@ def test_attrition_paper_mode_answers_a_prize_at_the_top_of_float64():
 
 
 def test_attrition_paper_mode_answers_the_least_prize_without_a_warning():
-    # x/2 rounds to 0: every gap concedes, and the batch kernel's unused form is 0/0
+    # x/2 rounds to 0: every gap concedes; the form the batch kernel does not take would be 0/0
     spec = AttritionSpec(x=5e-324, max_bid=3)
     assert [attrition_pij(spec, d, 0) for d in (1, 2, 3)] == [1.0, 1.0, 1.0]
     assert attrition_distribution(spec).weights.tolist() == [3.0, 2.0, 1.0, 0.0]

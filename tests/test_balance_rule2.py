@@ -18,7 +18,7 @@ from cooprob import (
 )
 from cooprob import Estimate, estimators, nplayer, payoff_scale
 from cooprob.errors import AmbiguousRootError, CooprobError, DomainError, NoValidRootError, UnsupportedClassError
-from cooprob.estimators import _balance_root2, _balanced_p_batch, _stable_quadratic_roots, weights2
+from cooprob.estimators import _balance_root2, _balanced_p_batch, _roots2, weights2
 from conftest import sample_class_boundary_tables, sample_near_linear_tables
 
 # ------------------------------------------ the per-class closed forms, kept
@@ -37,6 +37,15 @@ def _old_unit_root(roots, eps_root):
     return min(1.0, max(0.0, uniq[0]))
 
 
+def _old_quadratic_roots(qa, qb, qc):
+    """Both real roots of qa x^2 + qb x + qc, ascending, by the
+    cancellation-free pair t / qa and qc / t; a negative discriminant is
+    rounding at a double root."""
+    s = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+    t = -(qb + s) / 2.0 if qb >= 0.0 else -(qb - s) / 2.0
+    return (0.0, 0.0) if t == 0.0 else tuple(sorted((t / qa, qc / t)))
+
+
 def old_balanced_p(a, b, c, d, tol, eps_root=1e-9):
     """(p, roots, degenerate) from the hand-derived form of each class that
     ``balanced_p`` used before the classes shared one rule. Translators
@@ -49,20 +58,20 @@ def old_balanced_p(a, b, c, d, tol, eps_root=1e-9):
             return p, (p,), True
         disc = (b - d) * (b - d) + 4.0 * (b - c) * k
         p = min(1.0, max(0.0, 2.0 * (b - c) / (math.sqrt(disc) + (b - d))))
-        return p, _stable_quadratic_roots(k, b - d, c - b), False
+        return p, _old_quadratic_roots(k, b - d, c - b), False
     if tag is GameTag.CHICKEN:
         k = a - b + c - d
         if abs(k) <= tol:
             p = (a - c) / (2.0 * a - b - c)
             return p, (p,), True
-        roots = _stable_quadratic_roots(k, b + 2.0 * d - 3.0 * c, -(b + d - 2.0 * c))
+        roots = _old_quadratic_roots(k, b + 2.0 * d - 3.0 * c, -(b + d - 2.0 * c))
         return _old_unit_root(roots, eps_root), roots, False
     if tag is GameTag.BATTLE_OF_SEXES:
         k = a - b + c - d
         if abs(k) <= tol:
             p = (a - b) / (a + d - 2.0 * b)
             return p, (p,), True
-        roots = _stable_quadratic_roots(k, 2.0 * d - b - c, c - d)
+        roots = _old_quadratic_roots(k, 2.0 * d - b - c, c - d)
         return _old_unit_root(roots, eps_root), roots, False
     if tag is GameTag.STAG_HUNT:
         k = b - a - c + d
@@ -172,9 +181,7 @@ def reference_balanced_p(table):
     """``balanced_p`` on :func:`reference_balance2`."""
     cls = classify2(table)
     p, s0, s1, w0, w1 = reference_balance2(cls.tag, table.values())
-    k = (w1 - w0) + (s1 - s0)
-    roots = _stable_quadratic_roots(k, w0 + 2.0 * s0 - s1, -s0) if k else (p,)
-    return Estimate(p, "balanced", cls, roots=roots)
+    return Estimate(p, "balanced", cls, roots=_roots2(p, s0, s1, w0, w1))
 
 
 def _end_weight_rows():
@@ -329,54 +336,80 @@ def test_the_batch_is_bitwise_the_scalar_path_across_float64():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_stable_quadratic_roots_normalise_without_changing_bits():
-    rng = np.random.default_rng(3)
-    for qa, qb, qc in rng.uniform(-10.0, 10.0, (2000, 3)).tolist():
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            continue
-        s = math.sqrt(disc)
-        t = -(qb + s) / 2.0 if qb >= 0.0 else -(qb - s) / 2.0
-        assert _stable_quadratic_roots(qa, qb, qc) == tuple(sorted((t / qa, qc / t)))
-    # unnormalised, qb * qb overflows and the roots came out as (-inf, 0.0)
-    lo, hi = _stable_quadratic_roots(-1e300, 1e300, -1e250)
-    assert (lo, hi) == pytest.approx((1e-50, 1.0), rel=1e-15)
-
-
-def _mp_quadratic_roots(mp, qa, qb, qc):
-    """Both roots of qa x^2 + qb x + qc, qa qc < 0, ascending, with 40 digits."""
-    with mp.workdps(40):
-        qa, qb, qc = mp.mpf(qa), mp.mpf(qb), mp.mpf(qc)
-        t = -(qb + mp.sign(qb) * mp.sqrt(qb * qb - 4 * qa * qc)) / 2  # no cancellation
-        return sorted((t / qa, qc / t))
-
-
-def test_balanced_p_reports_roots_its_coefficients_span_past_float64():
-    # normalised by its largest coefficient, the quadratic 1e300 p^2 + 1e-300 p
-    # - 1e-300 lost its small coefficients, and the roots read (0.0, 0.0)
+def mp_weight_roots(s0, s1, w0, w1):
+    """Both roots, ascending, of the balance quadratic k p^2 + B p - s0 of
+    the weights, B = w0 + 2 s0 - s1 and k = (w1 - w0) + (s1 - s0), its
+    coefficients the exact sums, in 100-digit arithmetic; [] where k is 0."""
     mp = pytest.importorskip("mpmath")
-    est = balanced_p(PayoffTable2(1e300, 1e-300, 0.0, 0.0))
-    want = [float(r) for r in _mp_quadratic_roots(mp, 1e300, 1e-300, -1e-300)]
-    assert est.roots == pytest.approx(want, rel=1e-15, abs=0.0)
-    assert est.roots[1] == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+    s0, s1, w0, w1 = map(Fraction, (s0, s1, w0, w1))
+    k, qb = (w1 - w0) + (s1 - s0), w0 + 2 * s0 - s1
+    if not k:
+        return []
+    with mp.workdps(100):
+        qa, qb, qc = (mp.mpf(x.numerator) / x.denominator for x in (k, qb, -s0))
+        s = mp.sqrt(max(qb * qb - 4 * qa * qc, 0))  # h(0) <= 0 <= h(1): real roots
+        t = -(qb + s) / 2 if qb >= 0 else -(qb - s) / 2  # no cancellation
+        return sorted((t / qa, qc / t)) if t else [mp.mpf(0)] * 2
 
 
-def test_stable_quadratic_roots_across_float64():
-    mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(17)
-    checked = 0
-    for _ in range(3000):
-        ma, mb, mc = (rng.uniform(0.5, 1.0, 3) * rng.choice([-1.0, 1.0], 3)).tolist()
-        ea, eb, ec = rng.integers(-1070, 1020, 3).tolist()
-        # qa and qc of opposite signs: two real roots
-        qa, qb, qc = math.ldexp(ma, ea), math.ldexp(mb, eb), -math.copysign(math.ldexp(mc, ec), ma)
-        want = _mp_quadratic_roots(mp, qa, qb, qc)
-        if max(abs(w) for w in want) > 2.0**1000:
-            continue  # a root that float64 cannot hold
-        checked += 1
-        got = _stable_quadratic_roots(qa, qb, qc)
-        assert got == pytest.approx([float(w) for w in want], rel=1e-14, abs=2.0**-1000), (qa, qb, qc)
-    assert checked > 1000
+def _ulps(got, want):
+    """|got - want| in ulps of want rounded to float64; 0 where both are
+    the same infinity."""
+    near = float(want)  # an infinity past float64
+    if math.isinf(near):
+        return 0.0 if got == near else math.inf
+    return float(abs(want - got)) / math.ulp(near)
+
+
+def _check_roots(table):
+    """The estimate of ``table``, after checking that its p is one of its
+    roots bit for bit and every root is within 4 ulps of the 100-digit roots
+    of its weights' quadratic (where that is linear, the roots are (p,))."""
+    est = balanced_p(PayoffTable2(*table))
+    assert est.p.hex() in [r.hex() for r in est.roots], table
+    want = mp_weight_roots(*estimators._balance2(est.class_used.tag, table)[1:])
+    if want:
+        assert len(est.roots) == 2, table
+        assert max(map(_ulps, est.roots, want)) <= 4.0, (table, est.roots, want)
+    else:
+        assert est.roots == (est.p,), table
+    return est
+
+
+def test_balanced_p_reports_each_root_within_four_ulps():
+    # half uniform in [-10, 10], half log-uniform in +-[1e-300, 1e300]
+    rng = np.random.default_rng(1)
+    n = 10_000
+    signs = rng.choice([-1.0, 1.0], (n, 4))
+    rows = np.concatenate((rng.uniform(-10.0, 10.0, (n, 4)), signs * 10.0 ** rng.uniform(-300.0, 300.0, (n, 4))))
+    quadratic = 0
+    for table in _classified(rows):
+        quadratic += len(_check_roots(table).roots) == 2
+    assert quadratic > 1000
+
+
+@pytest.mark.parametrize(
+    "table, p, roots",
+    [
+        # a second solver gave (0.9999999999999002, 1.0025939114063902), without
+        # p; the other root is 1.0025939114062903 rounded, one ulp above
+        ((8.42286576138967, 8.880836771495566, 2.543877367077343, -4.234658063302836), 1.0, (1.0, 1.00259391140629)),
+        # normalised by its largest coefficient, 1e300 p^2 + 1e-300 p - 1e-300
+        # lost its small coefficients, and the roots read (0.0, 0.0)
+        ((1e300, 1e-300, 0.0, 0.0), 1e-300, (-1e-300, 1e-300)),
+        # a subnormal k next to a large scale: the other root is past float64
+        ((0.0, -5e-324, -1e307, -1e307), 1.0, (-math.inf, 1.0)),
+        ((5.0, 3.0, 4.0, 1.0), 0.0, (0.0, 4.0)),
+        # k is -2, but (w1 - w0) + (s1 - s0) in floats reads 0, and the roots read (p,)
+        ((7.205759403792794e16, -6.0, -4.0, 7.205759403792793e16), 0.5, (0.5, 7.205759403792794e16)),
+        # a subnormal p: the product of the roots would magnify its few bits
+        ((3.3474842167939935e-54, 2.978137186204467e-104, 2.7542716101857946e-206, -2.6370085402850687e219), 1e-323, (1e-323, 1.0)),
+    ],
+)
+def test_balanced_p_roots_of_named_tables(table, p, roots):
+    est = _check_roots(table)
+    assert (est.p, est.roots) == (p, roots)
+    assert all(math.copysign(1.0, r) == math.copysign(1.0, w) for r, w in zip(est.roots, roots))
 
 
 # ------------------------------------------------ the subdivision path

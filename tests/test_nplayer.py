@@ -34,6 +34,7 @@ from cooprob import (
     balanced_pn,
     cubic_coefficients,
     diner_ladder,
+    diner_p,
     equiprobability3,
     expected_payoff3,
     iterate_asym,
@@ -662,6 +663,46 @@ def test_an_orbit_that_reaches_no_root_raises_after_its_budget():
     with pytest.raises(AmbiguousRootError, match=r"^iteration from 1/2 reaches no root in 1000000 steps among") as info:
         balanced_pn(ladder)
     assert len(info.value.candidates) == 3
+
+
+def test_an_orbit_that_starts_on_an_exact_fixed_point_raises_at_once(monkeypatch):
+    # a double root at 1/2, where g(1/2) = 1/2 exactly; Newton's method splits
+    # it into 0.49999999899 and 0.50000000267, neither within _ORBIT_REACH of
+    # 1/2, so an orbit that ran on spent its whole budget there
+    monkeypatch.setattr(nplayer, "_ORBIT_BUDGET", 10)
+    msg = r"^iteration from 1/2 stops at the fixed point 0\.5, near no root among"
+    with pytest.raises(AmbiguousRootError, match=msg) as info:
+        balanced_p3(PayoffTable3(36, 35, 25, 22, 20, 3))
+    assert len(info.value.candidates) == 3
+
+
+def test_every_balanced_estimate_lists_its_p_among_its_roots():
+    rng = np.random.default_rng(31)
+    solved = dict.fromkeys(("balanced_p", "balanced_p3", "balanced_pn", "balanced_p_asym", "diner_p"), 0)
+
+    def descending(size):
+        return np.sort(rng.uniform(0.0, 10.0, size))[::-1].tolist()
+
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        r_cb = float(rng.uniform(n / 2.0, n))  # the diner's strict-ladder window, as diner_conjecture_test builds it
+        calls = {
+            "balanced_p": lambda: [balanced_p(PayoffTable2(*rng.uniform(-10.0, 10.0, 4)))],
+            "balanced_p3": lambda: [balanced_p3(PayoffTable3(*np.sort(rng.integers(0, 10, 6))[::-1].tolist()))],
+            "balanced_pn": lambda: [balanced_pn(descending(2 * n))],
+            "balanced_p_asym": lambda: balanced_p_asym(AsymmetricTable2(*descending(4), *descending(4))),
+            "diner_p": lambda: [diner_p(DinerSpec(r=1.0 + r_cb, s=1.5 + r_cb / 2.0, u=0.5 + r_cb / 2.0, w=1.0, n=n))],
+        }
+        for name, call in calls.items():
+            try:
+                estimates = call()
+            except CooprobError:  # unclassified, or no single root to answer with
+                continue
+            solved[name] += 1
+            for est in estimates:
+                assert est.method == "balanced"
+                assert est.p.hex() in [r.hex() for r in est.roots], (name, est)
+    assert min(solved.values()) > 50, solved  # one uniform 2x2 draw in five is classified
 
 
 def test_balanced_pn_rejects_ladders_past_float64_binomials():
